@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the newer analysis pieces: per-function slice attribution
- * (merging, ordering), windowed categorization, and the progress series
- * against hand-computed references.
+ * (merging, ordering), windowed categorization, the static-vs-dynamic
+ * contrast, and the progress series against hand-computed references.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "analysis/categorize.hh"
@@ -15,6 +16,7 @@
 #include "analysis/report.hh"
 #include "graph/cfg.hh"
 #include "sim/machine.hh"
+#include "staticdep/slice.hh"
 
 namespace webslice {
 namespace analysis {
@@ -115,6 +117,129 @@ TEST(Categorize, WindowLimitsTheExamination)
         trace.machine.symtab(), categorizer, /*end_index=*/3);
 
     EXPECT_LT(windowed.totalUnnecessary, full.totalUnnecessary);
+}
+
+/**
+ * TwoFunctionTrace against a hand-built static slice. The fixture's
+ * fourteen records are
+ *
+ *   0 Call(top)  1-6 Imm(hot)  7 Ret(hot)  8 Call(top)  9 Imm(cold)
+ *   10 Ret(cold) 11 Call(top)  12 Imm(hot) 13 Ret(hot)
+ *
+ * where records 1-6 share one site and 7 and 13 share another. The
+ * static slice reaches hot's loop site by data, hot's return site and the
+ * first call site by control, and nothing else. The dynamic slice keeps
+ * the fixture's three imms, plus hot's first return (a necessary control
+ * site) and record 12 (necessary, but outside the static slice: a
+ * containment violation).
+ */
+struct ContrastFixture
+{
+    TwoFunctionTrace trace;
+    staticdep::StaticSliceResult staticSlice;
+    std::vector<uint8_t> verdicts;
+
+    ContrastFixture()
+    {
+        const auto &records = trace.machine.records();
+        const auto site = [&](size_t i) {
+            return staticdep::StaticSliceResult::key(trace.cfgs.funcOf[i],
+                                                     records[i].pc);
+        };
+        staticSlice.byFuncPc[site(1)] = staticdep::kReachData;
+        staticSlice.byFuncPc[site(7)] =
+            staticdep::kReachData | staticdep::kReachControl;
+        staticSlice.byFuncPc[site(0)] = staticdep::kReachControl;
+        verdicts = trace.verdicts;
+        verdicts[7] = 1;
+        verdicts[12] = 1;
+    }
+
+    ContrastBreakdown
+    contrast(size_t end_index = SIZE_MAX) const
+    {
+        return contrastSlices(trace.machine.records(), verdicts,
+                              staticSlice, trace.cfgs,
+                              trace.machine.symtab(),
+                              Categorizer::chromiumDefault(), end_index);
+    }
+};
+
+TEST(Contrast, FixtureHasTheExpectedLayout)
+{
+    const ContrastFixture fx;
+    const auto &records = fx.trace.machine.records();
+    const auto &funcOf = fx.trace.cfgs.funcOf;
+    ASSERT_EQ(records.size(), 14u);
+    for (size_t i = 1; i <= 6; ++i) {
+        EXPECT_EQ(records[i].pc, records[1].pc);
+        EXPECT_EQ(funcOf[i], funcOf[1]);
+    }
+    EXPECT_EQ(records[13].pc, records[7].pc);
+    EXPECT_EQ(funcOf[13], funcOf[7]);
+    EXPECT_EQ(funcOf[12], funcOf[1]);
+    for (size_t i : {0, 7, 8, 10, 11, 13})
+        EXPECT_TRUE(records[i].isControl()) << i;
+    for (size_t i : {1, 9, 12})
+        EXPECT_FALSE(records[i].isControl()) << i;
+    EXPECT_EQ(fx.trace.cfgs.functionName(funcOf[9],
+                                         fx.trace.machine.symtab()),
+              "debug::cold");
+    EXPECT_EQ(std::count(fx.verdicts.begin(), fx.verdicts.end(), 1), 5);
+}
+
+TEST(Contrast, BinsEveryRecordAgainstBothSlices)
+{
+    const auto c = ContrastFixture().contrast();
+    EXPECT_EQ(c.analyzed, 14u);
+
+    // In-slice: imms 1-3 (data), ret 7 (control), imm 12 (violation).
+    EXPECT_EQ(c.necessary, 5u);
+    EXPECT_EQ(c.necessaryDataOnly, 3u);
+    EXPECT_EQ(c.necessaryViaControl, 1u);
+    EXPECT_EQ(c.containmentViolations, 1u);
+
+    // Static only: imms 4-6 (data), call 0 and ret 13 (control).
+    EXPECT_EQ(c.dynamicOnly, 5u);
+    EXPECT_EQ(c.dynamicOnlyDataOnly, 3u);
+    EXPECT_EQ(c.dynamicOnlyViaControl, 2u);
+
+    // Outside both: calls 8 and 11, ret 10 (control), imm 9 (data).
+    EXPECT_EQ(c.staticallyRemovable, 4u);
+    EXPECT_EQ(c.removableControlKind, 3u);
+    EXPECT_EQ(c.removableDataKind, 1u);
+
+    ASSERT_EQ(c.categories.size(), 3u);
+    EXPECT_EQ(c.categories.at("").removable, 2u); // calls 8, 11
+    EXPECT_EQ(c.categories.at("").dynamicOnly, 1u); // call 0
+    EXPECT_EQ(c.categories.at("JavaScript").removable, 0u);
+    EXPECT_EQ(c.categories.at("JavaScript").dynamicOnly, 4u);
+    EXPECT_EQ(c.categories.at("Debugging").removable, 2u);
+    EXPECT_EQ(c.categories.at("Debugging").dynamicOnly, 0u);
+}
+
+TEST(Contrast, EndIndexCutsTheWindow)
+{
+    // Records 0-7: hot's first call only.
+    const auto c = ContrastFixture().contrast(/*end_index=*/8);
+    EXPECT_EQ(c.analyzed, 8u);
+    EXPECT_EQ(c.necessary, 4u);
+    EXPECT_EQ(c.necessaryDataOnly, 3u);
+    EXPECT_EQ(c.necessaryViaControl, 1u);
+    EXPECT_EQ(c.containmentViolations, 0u);
+    EXPECT_EQ(c.dynamicOnly, 4u);
+    EXPECT_EQ(c.dynamicOnlyDataOnly, 3u);
+    EXPECT_EQ(c.dynamicOnlyViaControl, 1u);
+    EXPECT_EQ(c.staticallyRemovable, 0u);
+    EXPECT_EQ(c.removableControlKind, 0u);
+    EXPECT_EQ(c.removableDataKind, 0u);
+
+    ASSERT_EQ(c.categories.size(), 2u);
+    EXPECT_EQ(c.categories.at("").removable, 0u);
+    EXPECT_EQ(c.categories.at("").dynamicOnly, 1u);
+    EXPECT_EQ(c.categories.at("JavaScript").removable, 0u);
+    EXPECT_EQ(c.categories.at("JavaScript").dynamicOnly, 3u);
+    EXPECT_EQ(c.categories.count("Debugging"), 0u);
 }
 
 TEST(Progress, MatchesHandComputedCumulative)
