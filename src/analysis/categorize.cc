@@ -1,7 +1,6 @@
 #include "analysis/categorize.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -75,6 +74,66 @@ CategoryDistribution::sharePercent(const std::string &category) const
            static_cast<double>(categorized);
 }
 
+namespace {
+
+/**
+ * Function id -> category slot, filled lazily from the function's
+ * qualified name (ids are dense enough to make a flat cache worthwhile).
+ * Slot 0 is the empty category: functions with no mapped namespace.
+ * Slots from 1 number the other category names in first-seen order.
+ */
+class CategoryTable
+{
+  public:
+    CategoryTable(const graph::CfgSet &cfgs,
+                  const trace::SymbolTable &symtab,
+                  const Categorizer &categorizer)
+        : cfgs_(cfgs), symtab_(symtab), categorizer_(categorizer)
+    {}
+
+    size_t
+    slotOf(trace::FuncId func)
+    {
+        if (func < cached_.size() && cached_[func] != kUnresolved)
+            return cached_[func];
+        return resolve(func);
+    }
+
+    const std::string &name(size_t slot) const { return names_[slot]; }
+
+  private:
+    static constexpr uint8_t kUnresolved = 0xFF;
+
+    size_t resolve(trace::FuncId func);
+
+    const graph::CfgSet &cfgs_;
+    const trace::SymbolTable &symtab_;
+    const Categorizer &categorizer_;
+    std::vector<uint8_t> cached_;
+    std::vector<std::string> names_{std::string()};
+};
+
+size_t
+CategoryTable::resolve(trace::FuncId func)
+{
+    if (func == trace::kNoFunc)
+        return 0;
+    if (func >= cached_.size())
+        cached_.resize(func + 1, kUnresolved);
+
+    const std::string category =
+        categorizer_.categoryOf(cfgs_.functionName(func, symtab_));
+    const auto it = std::find(names_.begin(), names_.end(), category);
+    const size_t slot = it - names_.begin();
+    if (it == names_.end())
+        names_.push_back(category);
+    panic_if(slot >= kUnresolved, "too many categories for the u8 cache");
+    cached_[func] = static_cast<uint8_t>(slot);
+    return slot;
+}
+
+} // namespace
+
 CategoryDistribution
 categorizeUnnecessary(std::span<const trace::Record> records,
                       std::span<const uint8_t> in_slice,
@@ -87,55 +146,23 @@ categorizeUnnecessary(std::span<const trace::Record> records,
              "records and slice verdicts must be parallel arrays");
 
     CategoryDistribution out;
-
-    // Function id -> category, computed lazily (ids are dense enough to
-    // make a flat cache worthwhile).
-    std::vector<int8_t> cached; // -2 unknown, -1 uncategorized, else index
-    std::vector<std::string> category_names;
-    auto categoryIndex = [&](trace::FuncId func) -> int {
-        if (func == trace::kNoFunc)
-            return -1;
-        if (func >= cached.size())
-            cached.resize(func + 1, -2);
-        if (cached[func] != -2)
-            return cached[func];
-
-        const std::string name = cfgs.functionName(func, symtab);
-        const std::string category = categorizer.categoryOf(name);
-        int idx = -1;
-        if (!category.empty()) {
-            auto it = std::find(category_names.begin(),
-                                category_names.end(), category);
-            if (it == category_names.end()) {
-                category_names.push_back(category);
-                idx = static_cast<int>(category_names.size()) - 1;
-            } else {
-                idx = static_cast<int>(it - category_names.begin());
-            }
-        }
-        panic_if(idx > 126, "too many categories for the i8 cache");
-        cached[func] = static_cast<int8_t>(idx);
-        return idx;
-    };
-
-    std::vector<uint64_t> counts;
+    CategoryTable table(cfgs, symtab, categorizer);
+    std::vector<uint64_t> counts; // by slot
     const size_t end = std::min(end_index, records.size());
     for (size_t i = 0; i < end; ++i) {
         if (records[i].isPseudo() || in_slice[i])
             continue;
         ++out.totalUnnecessary;
-        const int idx = categoryIndex(cfgs.funcOf[i]);
-        if (idx < 0) {
-            ++out.uncategorized;
-        } else {
-            if (counts.size() <= static_cast<size_t>(idx))
-                counts.resize(idx + 1, 0);
-            ++counts[idx];
-        }
+        const size_t slot = table.slotOf(cfgs.funcOf[i]);
+        if (slot >= counts.size())
+            counts.resize(slot + 1, 0);
+        ++counts[slot];
     }
 
-    for (size_t i = 0; i < counts.size(); ++i)
-        out.counts[category_names[i]] = counts[i];
+    if (!counts.empty())
+        out.uncategorized = counts[0];
+    for (size_t slot = 1; slot < counts.size(); ++slot)
+        out.counts[table.name(slot)] = counts[slot];
     return out;
 }
 
@@ -150,13 +177,14 @@ contrastSlices(std::span<const trace::Record> records,
              "records and slice verdicts must be parallel arrays");
 
     ContrastBreakdown out;
-    std::unordered_map<trace::FuncId, std::string> category_of;
-    auto categoryFor = [&](trace::FuncId func) -> const std::string & {
-        auto [it, fresh] = category_of.try_emplace(func);
-        if (fresh)
-            it->second =
-                categorizer.categoryOf(cfgs.functionName(func, symtab));
-        return it->second;
+    CategoryTable table(cfgs, symtab, categorizer);
+    std::vector<ContrastBreakdown::CategorySplit> splits; // by slot
+    auto splitOf =
+        [&](trace::FuncId func) -> ContrastBreakdown::CategorySplit & {
+        const size_t slot = table.slotOf(func);
+        if (slot >= splits.size())
+            splits.resize(slot + 1);
+        return splits[slot];
     };
 
     const size_t end = std::min(end_index, records.size());
@@ -188,7 +216,7 @@ contrastSlices(std::span<const trace::Record> records,
                 ++out.dynamicOnlyViaControl;
             else
                 ++out.dynamicOnlyDataOnly;
-            ++out.categories[categoryFor(func)].dynamicOnly;
+            ++splitOf(func).dynamicOnly;
         } else {
             // Outside even the static over-approximation: removable
             // without running the page.
@@ -197,8 +225,16 @@ contrastSlices(std::span<const trace::Record> records,
                 ++out.removableControlKind;
             else
                 ++out.removableDataKind;
-            ++out.categories[categoryFor(func)].removable;
+            ++splitOf(func).removable;
         }
+    }
+
+    // Slot 0 exists as soon as any later slot does; report only the
+    // categories some record reached.
+    for (size_t slot = 0; slot < splits.size(); ++slot) {
+        const auto &split = splits[slot];
+        if (split.removable != 0 || split.dynamicOnly != 0)
+            out.categories[table.name(slot)] = split;
     }
     return out;
 }

@@ -40,9 +40,16 @@ struct FunctionSliceStats
 };
 
 /**
- * Tally per-function totals, sorted by total instructions descending.
- * Functions with the same qualified name (e.g. per-tag mutex instances)
- * are merged.
+ * Tally per-function totals, sorted by total instructions descending;
+ * rows with equal totals sort by name. Pseudo-records are skipped.
+ *
+ * Function ids with the same qualified name (e.g. per-tag mutex
+ * instances) are merged into one row, whose `func` is the id of the
+ * earliest record among the merged ids. Records without a function
+ * (kNoFunc) form an `<unknown:…>` row like any other id.
+ *
+ * One pass counts per id in a dense array; names are resolved once per
+ * id afterwards, not once per record.
  */
 std::vector<FunctionSliceStats>
 computeFunctionStats(std::span<const trace::Record> records,
