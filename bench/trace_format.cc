@@ -177,8 +177,8 @@ main(int argc, char **argv)
     }
 
     // ---- slice from file -------------------------------------------------
-    slicer::SlicerOptions options = bench::windowedOptions(profiled.run);
-    options.backwardJobs = 4;
+    const slicer::SlicerOptions options =
+        bench::windowedOptions(profiled.run);
     std::vector<slicer::SliceResult> slices;
     for (FormatSample *s : {&v1, &v2}) {
         slicer::SliceResult result;

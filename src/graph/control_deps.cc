@@ -26,15 +26,6 @@ ControlDepMap::depsOf(FuncId func, Pc pc) const
             static_cast<size_t>(*entry & 0xFFFFF)};
 }
 
-std::span<const Pc>
-ControlDepMap::depsOfUnindexed(FuncId func, Pc pc) const
-{
-    auto it = deps_.find(key(func, pc));
-    if (it == deps_.end())
-        return {};
-    return it->second;
-}
-
 void
 ControlDepMap::seal() const
 {

@@ -51,19 +51,11 @@ class ControlDepMap
                                       trace::Pc pc) const;
 
     /**
-     * depsOf() answered from the node-based map, bypassing the flat
-     * index — the pre-optimization lookup path, kept callable so the
-     * benchmarks' legacy baseline measures what the seed profiler did.
-     */
-    std::span<const trace::Pc> depsOfUnindexed(trace::FuncId func,
-                                               trace::Pc pc) const;
-
-    /**
      * Force the lazy query index to be built now. depsOf() seals on
      * first use, which is not safe to race from several threads; any
-     * driver that will query the map from worker threads (the
-     * epoch-parallel slicer's transcode phase) must call this once
-     * beforehand from a single thread.
+     * caller that will query the map from worker threads (buildEpochPlan's
+     * parallel transcode) must call this once beforehand from a single
+     * thread.
      */
     void ensureSealed() const;
 
@@ -71,8 +63,8 @@ class ControlDepMap
      * Sorted, deduplicated branch pcs that appear in at least one
      * dependence list. A Branch record whose pc is not in this set can
      * never satisfy a pending-branch entry — pending sets only ever
-     * receive pcs from these lists — which is what lets the
-     * epoch-parallel transcoder drop such branches as state no-ops.
+     * receive pcs from these lists — which is what lets the epoch-plan
+     * transcoder drop such branches as state no-ops.
      */
     std::vector<trace::Pc> branchUniverse() const;
 

@@ -84,7 +84,9 @@ struct SliceQuery
     /** Extra window cap (exclusive record index); UINT64_MAX = none. */
     uint64_t endIndex = UINT64_MAX;
 
-    /** Backward-pass worker threads for this query (1 = sequential). */
+    /** Threads for replaying this query's cached epoch plan (see
+     *  SlicerOptions::backwardJobs); without a plan the query walks
+     *  sequentially. 1 = one-walk replay. */
     int backwardJobs = 1;
 
     /** Queue deadline in milliseconds; 0 = wait however long it takes.

@@ -1,6 +1,6 @@
 /**
  * @file
- * The epoch-parallel backward slicer (see epoch.hh for the scheme).
+ * Reusable epoch plans and their replay (see epoch.hh for the scheme).
  *
  * Exactness argument, in brief: the stitch phase replays the full
  * transition rules of the sequential kernel over every epoch's ops, so
@@ -24,8 +24,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <condition_variable>
-#include <cstring>
 #include <limits>
 #include <mutex>
 #include <unordered_map>
@@ -36,8 +34,8 @@
 #include "support/flat_map.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/sparse_byte_set.hh"
 #include "support/thread_pool.hh"
-#include "trace/trace_file.hh"
 
 namespace webslice {
 namespace slicer {
@@ -167,7 +165,7 @@ struct EpochData
     EpochSummary summary;
 
     /** False when the epoch cannot be encoded (> 256 distinct tids);
-     *  the driver falls back to the sequential pass. */
+     *  no plan is built and queries take the sequential pass. */
     bool ok = true;
 };
 
@@ -487,8 +485,6 @@ class EpochTranscoder
     std::array<uint8_t, 256> pendingReads_{};
 };
 
-using TS = ThreadState<FlatPolicy>;
-
 /**
  * The full analysis state carried across epochs. Copyable: a boundary
  * snapshot is a plain copy of this struct.
@@ -496,7 +492,7 @@ using TS = ThreadState<FlatPolicy>;
 struct WalkState
 {
     SparseByteSet liveMem;
-    std::unordered_map<ThreadId, TS> threads;
+    std::unordered_map<ThreadId, ThreadState> threads;
 };
 
 /**
@@ -513,7 +509,7 @@ walkEpoch(const EpochData &ep, WalkState &st, const SlicerOptions &opt,
 {
     // Per-epoch tid8 -> thread-state pointer cache; unordered_map node
     // references are stable across inserts, so the pointers stay valid.
-    std::array<TS *, 256> cache{};
+    std::array<ThreadState *, 256> cache{};
 
     uint64_t probe_base = 0;
     uint64_t resize_base = 0;
@@ -526,8 +522,8 @@ walkEpoch(const EpochData &ep, WalkState &st, const SlicerOptions &opt,
         }
     }
 
-    auto thread_state = [&](uint8_t t8) -> TS & {
-        TS *&slot = cache[t8];
+    auto thread_state = [&](uint8_t t8) -> ThreadState & {
+        ThreadState *&slot = cache[t8];
         if (!slot)
             slot = &st.threads[ep.tids[t8]];
         return *slot;
@@ -542,7 +538,7 @@ walkEpoch(const EpochData &ep, WalkState &st, const SlicerOptions &opt,
         }
     };
 
-    auto include = [&](const StitchOp &op, TS &ts) {
+    auto include = [&](const StitchOp &op, ThreadState &ts) {
         if constexpr (kEmit) {
             in_slice[op.idx] = 1;
             ++out->sliceInstructions;
@@ -567,7 +563,7 @@ walkEpoch(const EpochData &ep, WalkState &st, const SlicerOptions &opt,
     };
 
     for (const StitchOp &op : ep.ops) {
-        TS &ts = thread_state(op.tid8);
+        ThreadState &ts = thread_state(op.tid8);
         switch (static_cast<RecordKind>(op.kind)) {
           case RecordKind::Marker: {
             // Markers are transcoded in every mode (the op stream is
@@ -667,7 +663,7 @@ walkEpoch(const EpochData &ep, WalkState &st, const SlicerOptions &opt,
 
           case RecordKind::Ret: {
             ts.frames.push_back(
-                TS::Frame{static_cast<size_t>(op.idx), false});
+                ThreadState::Frame{static_cast<size_t>(op.idx), false});
             break;
           }
 
@@ -741,7 +737,7 @@ summaryAllowsSkip(const EpochData &ep, const WalkState &st,
     if (opt.mode == CriteriaMode::Syscalls && s.hasSyscalls)
         return false;
     for (const auto &kv : st.threads) {
-        const TS &ts = kv.second;
+        const ThreadState &ts = kv.second;
         // Buffered pseudo state from a newer epoch would be consumed by
         // this epoch's Syscall ops; impossible when boundaries respect
         // syscall groups, but cheap to guard against.
@@ -767,247 +763,10 @@ summaryAllowsSkip(const EpochData &ep, const WalkState &st,
 }
 
 /**
- * Turn interior boundary proposals into the final [0, b1, ..., end]
- * plan: clamp to the window, shift each off syscall pseudo-groups, and
- * keep the sequence monotonic (a shift may not cross the previous
- * boundary; if it would, the boundary collapses and the epoch is empty,
- * which the walk handles).
- */
-std::vector<size_t>
-finalizeBounds(const std::vector<size_t> &interior, size_t end,
-               const std::function<size_t(size_t)> &shift)
-{
-    std::vector<size_t> bounds{0};
-    for (size_t b : interior) {
-        b = shift(std::min(b, end));
-        bounds.push_back(std::max(b, bounds.back()));
-    }
-    bounds.push_back(end);
-    return bounds;
-}
-
-/** Equal-record interior boundaries for `epochs` epochs over [0, end). */
-std::vector<size_t>
-proposeEqualRecords(size_t end, size_t epochs)
-{
-    std::vector<size_t> interior;
-    for (size_t k = 1; k < epochs; ++k) {
-        interior.push_back(static_cast<size_t>(
-            static_cast<uint64_t>(end) * k / epochs));
-    }
-    return interior;
-}
-
-/**
- * Equal-work interior boundaries from the trace's block index: split so
- * each epoch holds about the same number of executed instructions, at
- * block granularity. Falls back to equal records when the index covers
- * no full block of the window.
- */
-std::vector<size_t>
-proposeEqualWork(const trace::TraceBlockIndex &index, size_t end,
-                 size_t epochs)
-{
-    const auto block = static_cast<size_t>(index.blockRecords);
-    const size_t usable = std::min(index.blockCount(), end / block);
-    uint64_t total = 0;
-    for (size_t b = 0; b < usable; ++b)
-        total += index.instructions[b];
-    if (total == 0)
-        return proposeEqualRecords(end, epochs);
-
-    std::vector<size_t> interior;
-    uint64_t acc = 0;
-    size_t next = 1;
-    for (size_t b = 0; b < usable && next < epochs; ++b) {
-        acc += index.instructions[b];
-        while (next < epochs && acc * epochs >= total * next) {
-            interior.push_back(std::min((b + 1) * block, end));
-            ++next;
-        }
-    }
-    while (interior.size() + 1 < epochs)
-        interior.push_back(end);
-    return interior;
-}
-
-/** Epochs to plan: enough to overlap the stitch with transcodes and to
- *  smooth load imbalance, capped so no epoch is empty by construction. */
-size_t
-epochTarget(size_t end, unsigned jobs)
-{
-    return std::max<size_t>(
-        1, std::min<size_t>(static_cast<size_t>(jobs) * 4, end));
-}
-
-/**
- * The three-phase driver shared by the in-memory and streaming fronts.
- * `transcode(first, last, tc)` feeds the epoch's records (newest first)
- * into the transcoder; `sequential()` is the oracle fallback used when
- * an epoch cannot be encoded.
- */
-template <typename TranscodeFn>
-SliceResult
-runEpochParallel(const graph::CfgSet &cfgs,
-                 const graph::ControlDepMap &deps,
-                 const trace::CriteriaSet &criteria,
-                 const SlicerOptions &options, size_t record_count,
-                 const std::vector<size_t> &bounds,
-                 const TranscodeFn &transcode,
-                 const std::function<SliceResult()> &sequential)
-{
-    const size_t epoch_count = bounds.size() - 1;
-    const size_t end = bounds.back();
-    auto &registry = MetricRegistry::global();
-
-    // Sealing is lazy and not safe to race; force it before the
-    // transcode tasks start probing from worker threads.
-    deps.ensureSealed();
-    FlatSet64 universe;
-    if (options.includeControlDeps) {
-        const auto pcs = deps.branchUniverse();
-        universe.reserve(pcs.size());
-        for (const Pc pc : pcs)
-            universe.insert(pc);
-    }
-    const FlatSet64 *universe_ptr =
-        options.includeControlDeps ? &universe : nullptr;
-
-    std::vector<EpochData> epochs(epoch_count);
-    std::vector<uint8_t> transcoded(epoch_count, 0);
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::atomic<bool> need_fallback{false};
-
-    const unsigned jobs = ThreadPool::resolveJobs(options.backwardJobs);
-    ThreadPool pool(jobs - 1);
-    TaskGroup group;
-
-    // Newest epochs first: the stitch consumes them in that order, so
-    // the serial phase starts as soon as the first transcode lands.
-    for (size_t k = epoch_count; k-- > 0;) {
-        pool.post(group, [&, k] {
-            std::exception_ptr error;
-            try {
-                EpochTranscoder tc(cfgs, deps, options, universe_ptr,
-                                   bounds[k], bounds[k + 1]);
-                transcode(bounds[k], bounds[k + 1], tc);
-                epochs[k] = tc.take();
-                if (!epochs[k].ok)
-                    need_fallback.store(true);
-            } catch (...) {
-                error = std::current_exception();
-                need_fallback.store(true);
-            }
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                transcoded[k] = 1;
-            }
-            cv.notify_all();
-            if (error)
-                std::rethrow_exception(error);
-        });
-    }
-
-    SliceResult result;
-    result.inSlice.assign(record_count, 0);
-    result.analyzedWindowEnd = end;
-    result.recordsFed = end;
-
-    std::vector<SliceResult> partial(epoch_count);
-    WalkState state;
-    bool aborted = false;
-    uint64_t skipped = 0;
-
-    // Stitch on the calling thread, newest epoch to oldest. The state
-    // *before* stitching epoch k is its exact live-out; snapshot it,
-    // hand the snapshot to a resolve task, then advance the state
-    // through the epoch. Epoch 0 needs no live-out for anyone, so the
-    // state moves into its resolve instead of being stitched.
-    for (size_t k = epoch_count; k-- > 0;) {
-        {
-            std::unique_lock<std::mutex> lock(mutex);
-            cv.wait(lock, [&] { return transcoded[k] != 0; });
-        }
-        if (need_fallback.load()) {
-            aborted = true;
-            break;
-        }
-        // Neither stitch nor resolve: the summary proves the state
-        // passes through unchanged and the epoch can emit nothing.
-        if (summaryAllowsSkip(epochs[k], state, options)) {
-            ++skipped;
-            continue;
-        }
-        if (k > 0) {
-            auto seed = std::make_shared<WalkState>(state);
-            pool.post(group, [&, k, seed] {
-                walkEpoch<true>(epochs[k], *seed, options, criteria,
-                                record_count, &partial[k],
-                                result.inSlice.data());
-            });
-            walkEpoch<false>(epochs[k], state, options, criteria,
-                             record_count, nullptr, nullptr);
-        } else {
-            auto seed = std::make_shared<WalkState>(std::move(state));
-            pool.post(group, [&, seed] {
-                walkEpoch<true>(epochs[0], *seed, options, criteria,
-                                record_count, &partial[0],
-                                result.inSlice.data());
-            });
-        }
-    }
-
-    // The caller joins the resolve phase: drain runs queued tasks on
-    // this thread until the group is idle (rethrowing task errors).
-    pool.drain(group);
-
-    if (aborted || need_fallback.load()) {
-        registry.counter("slicer.epoch_fallbacks").add(1);
-        return sequential();
-    }
-
-    uint64_t elided = 0;
-    for (size_t k = 0; k < epoch_count; ++k) {
-        result.sliceInstructions += partial[k].sliceInstructions;
-        result.criteriaBytesSeeded += partial[k].criteriaBytesSeeded;
-        result.flatProbes += partial[k].flatProbes;
-        result.flatResizes += partial[k].flatResizes;
-        result.peakLiveMemBytes = std::max(result.peakLiveMemBytes,
-                                           partial[k].peakLiveMemBytes);
-        result.peakLiveMemChunks = std::max(result.peakLiveMemChunks,
-                                            partial[k].peakLiveMemChunks);
-        result.peakPendingBranches =
-            std::max(result.peakPendingBranches,
-                     partial[k].peakPendingBranches);
-        result.instructionsAnalyzed += epochs[k].nonPseudoRecords;
-        elided += epochs[k].elidedRecords;
-    }
-
-    registry.counter("slicer.epochs_planned").add(epoch_count);
-    registry.counter("slicer.epoch_elided_records").add(elided);
-    registry.counter("slicer.epochs_skipped").add(skipped);
-    publishSliceMetrics(result);
-    return result;
-}
-
-std::vector<size_t>
-interiorProposals(size_t end, size_t epochs)
-{
-    if (EpochPlanner::boundariesOverrideForTesting) {
-        auto interior = *EpochPlanner::boundariesOverrideForTesting;
-        std::sort(interior.begin(), interior.end());
-        return interior;
-    }
-    return proposeEqualRecords(end, epochs);
-}
-
-/**
- * Epochs for a reusable plan. Unlike epochTarget(), this is independent
- * of the requesting query's job count (any job count replays any
- * partition bit-identically) and leans finer: more epochs mean finer
- * summary granularity, so warm queries whose live sets die early can
- * skip a larger fraction of the window.
+ * Epochs for a reusable plan. Independent of any query's job count (any
+ * job count replays any partition bit-identically), and fine-grained:
+ * more epochs mean finer summary granularity, so warm queries whose
+ * live sets die early can skip a larger fraction of the window.
  */
 size_t
 planEpochTarget(size_t end)
@@ -1015,6 +774,38 @@ planEpochTarget(size_t end)
     return std::max<size_t>(
         1,
         std::min({end, std::max<size_t>(end / 2048, 8), size_t{128}}));
+}
+
+/**
+ * The plan's epoch boundaries [0, b1, ..., end]. The interior proposals
+ * split the window into planEpochTarget(end) equal-record epochs (or
+ * come from the test override); each is clamped to the window, shifted
+ * off syscall pseudo-groups, and kept monotonic (a shift may not cross
+ * the previous boundary; if it would, the boundary collapses and the
+ * epoch is empty, which the walk handles).
+ */
+std::vector<size_t>
+planBounds(std::span<const Record> records, size_t end)
+{
+    std::vector<size_t> interior;
+    if (EpochPlanner::boundariesOverrideForTesting) {
+        interior = *EpochPlanner::boundariesOverrideForTesting;
+        std::sort(interior.begin(), interior.end());
+    } else {
+        const size_t epochs = planEpochTarget(end);
+        for (size_t k = 1; k < epochs; ++k) {
+            interior.push_back(static_cast<size_t>(
+                static_cast<uint64_t>(end) * k / epochs));
+        }
+    }
+    std::vector<size_t> bounds{0};
+    for (const size_t b : interior) {
+        const size_t shifted =
+            trace::CriteriaSet::splitBoundary(records, std::min(b, end));
+        bounds.push_back(std::max(shifted, bounds.back()));
+    }
+    bounds.push_back(end);
+    return bounds;
 }
 
 /** Rough resident size of one transcoded epoch, for cache budgets. */
@@ -1101,8 +892,6 @@ bool
 EpochPlan::compatibleWith(const SlicerOptions &options,
                           size_t record_count) const
 {
-    if (options.legacyLiveSets)
-        return false; // the legacy oracle never runs on transcoded ops
     if (record_count != data->recordCount)
         return false;
     if (std::min(options.endIndex, record_count) != windowEnd())
@@ -1118,9 +907,8 @@ buildEpochPlan(std::span<const Record> records, const graph::CfgSet &cfgs,
 {
     panic_if(cfgs.funcOf.size() != records.size(),
              "forward-pass attribution does not match the trace length");
-    if (options.legacyLiveSets ||
-        records.size() > std::numeric_limits<uint32_t>::max())
-        return nullptr;
+    if (records.size() > std::numeric_limits<uint32_t>::max())
+        return nullptr; // op encoding carries 32-bit record indices
     const size_t end = std::min(options.endIndex, records.size());
     if (end == 0)
         return nullptr;
@@ -1136,10 +924,7 @@ buildEpochPlan(std::span<const Record> records, const graph::CfgSet &cfgs,
     const FlatSet64 *universe_ptr =
         options.includeControlDeps ? &universe : nullptr;
 
-    const auto bounds = finalizeBounds(
-        interiorProposals(end, planEpochTarget(end)), end, [&](size_t b) {
-            return trace::CriteriaSet::splitBoundary(records, b);
-        });
+    const auto bounds = planBounds(records, end);
     const size_t epoch_count = bounds.size() - 1;
 
     auto plan = std::make_shared<EpochPlan>();
@@ -1173,8 +958,11 @@ buildEpochPlan(std::span<const Record> records, const graph::CfgSet &cfgs,
 
     uint64_t bytes = sizeof(EpochPlan) + sizeof(EpochPlan::Data) +
                      d.bounds.capacity() * sizeof(size_t);
-    for (const EpochData &ep : d.epochs)
+    uint64_t elided = 0;
+    for (const EpochData &ep : d.epochs) {
         bytes += epochApproxBytes(ep);
+        elided += ep.elidedRecords;
+    }
     // Result-memo capacity: one verdict vector per criteria mode.
     bytes += 2 * d.recordCount;
     d.bytes = bytes;
@@ -1182,6 +970,7 @@ buildEpochPlan(std::span<const Record> records, const graph::CfgSet &cfgs,
     auto &registry = MetricRegistry::global();
     registry.counter("slicer.plan_builds").add(1);
     registry.counter("slicer.epochs_planned").add(epoch_count);
+    registry.counter("slicer.epoch_elided_records").add(elided);
     return plan;
 }
 
@@ -1235,8 +1024,11 @@ computeSliceWithPlan(const EpochPlan &plan,
                             &result, result.inSlice.data());
         }
     } else {
-        // The stitch/resolve halves of runEpochParallel, minus the
-        // transcode: the plan is the transcode.
+        // Stitch on the calling thread, newest epoch to oldest. The
+        // state *before* stitching epoch k is its exact live-out;
+        // snapshot it, hand the snapshot to a resolve task, then advance
+        // the state through the epoch. Epoch 0 needs no live-out for
+        // anyone, so the state moves into its resolve instead.
         ThreadPool pool(jobs - 1);
         TaskGroup group;
         std::vector<SliceResult> partial(epoch_count);
@@ -1294,116 +1086,6 @@ computeSliceWithPlan(const EpochPlan &plan,
         slot.result = std::make_shared<SliceResult>(result);
     }
     return result;
-}
-
-bool
-epochParallelEligible(const SlicerOptions &options, size_t record_count)
-{
-    if (options.legacyLiveSets || record_count == 0)
-        return false;
-    if (record_count > std::numeric_limits<uint32_t>::max())
-        return false; // op encoding carries 32-bit record indices
-    if (options.backwardJobs == 1)
-        return false;
-    return ThreadPool::resolveJobs(options.backwardJobs) > 1;
-}
-
-SliceResult
-computeSliceEpochParallel(std::span<const Record> records,
-                          const graph::CfgSet &cfgs,
-                          const graph::ControlDepMap &deps,
-                          const trace::CriteriaSet &criteria,
-                          const SlicerOptions &options)
-{
-    panic_if(cfgs.funcOf.size() != records.size(),
-             "forward-pass attribution does not match the trace length");
-    const auto sequential = [&]() -> SliceResult {
-        BackwardPass pass(cfgs, deps, criteria, options, records.size());
-        pass.run(records);
-        return pass.finish();
-    };
-
-    const size_t end = std::min(options.endIndex, records.size());
-    if (end == 0)
-        return sequential();
-
-    const unsigned jobs = ThreadPool::resolveJobs(options.backwardJobs);
-    const size_t epochs = epochTarget(end, jobs);
-    const auto bounds = finalizeBounds(
-        interiorProposals(end, epochs), end, [&](size_t b) {
-            return trace::CriteriaSet::splitBoundary(records, b);
-        });
-
-    return runEpochParallel(
-        cfgs, deps, criteria, options, records.size(), bounds,
-        [&](size_t first, size_t last, EpochTranscoder &tc) {
-            for (size_t idx = last; idx-- > first;) {
-                if (idx >= first + 16)
-                    __builtin_prefetch(&records[idx - 16]);
-                tc.consume(idx, records[idx]);
-            }
-        },
-        sequential);
-}
-
-SliceResult
-computeSliceEpochParallelFromFile(const std::string &path,
-                                  const graph::CfgSet &cfgs,
-                                  const graph::ControlDepMap &deps,
-                                  const trace::CriteriaSet &criteria,
-                                  const SlicerOptions &options)
-{
-    const size_t record_count = cfgs.funcOf.size();
-    const auto sequential = [&]() -> SliceResult {
-        trace::ReverseTraceReader reader(path);
-        BackwardPass pass(cfgs, deps, criteria, options,
-                          static_cast<size_t>(reader.count()));
-        Record rec;
-        size_t idx = static_cast<size_t>(reader.count());
-        while (reader.next(rec))
-            pass.feed(--idx, rec);
-        return pass.finish();
-    };
-
-    const size_t end = std::min(options.endIndex, record_count);
-    if (end == 0)
-        return sequential();
-
-    const unsigned jobs = ThreadPool::resolveJobs(options.backwardJobs);
-    const size_t epochs = epochTarget(end, jobs);
-    const trace::TraceBlockIndex index = trace::loadTraceBlockIndex(path);
-
-    std::vector<size_t> interior;
-    if (EpochPlanner::boundariesOverrideForTesting) {
-        interior = interiorProposals(end, epochs);
-    } else if (index.present()) {
-        interior = proposeEqualWork(index, end, epochs);
-    } else {
-        interior = proposeEqualRecords(end, epochs);
-    }
-
-    // A boundary shift only needs the few records below the proposal;
-    // load a small window instead of the trace.
-    const auto bounds =
-        finalizeBounds(interior, end, [&](size_t b) -> size_t {
-            if (b == 0 || b >= record_count)
-                return b;
-            const size_t lo = b > 4096 ? b - 4096 : 0;
-            const auto window =
-                trace::loadTraceRange(path, lo, b - lo + 1);
-            return lo + trace::CriteriaSet::splitBoundary(window, b - lo);
-        });
-
-    return runEpochParallel(
-        cfgs, deps, criteria, options, record_count, bounds,
-        [&](size_t first, size_t last, EpochTranscoder &tc) {
-            trace::ReverseTraceReader reader(path, first, last);
-            Record rec;
-            size_t idx = last;
-            while (reader.next(rec))
-                tc.consume(--idx, rec);
-        },
-        sequential);
 }
 
 } // namespace slicer

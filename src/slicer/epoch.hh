@@ -1,33 +1,42 @@
 /**
  * @file
- * Epoch-parallel backward slicing: transcode → stitch → resolve.
+ * Reusable epoch plans for warm queries: transcode → stitch → resolve.
  *
- * The sequential backward pass is a chain dependence: every record's
- * include decision reads live state produced by all newer records. The
- * epoch driver breaks the chain into three phases over N trace epochs:
+ * A cold query runs the sequential backward walk (slicer.hh). When many
+ * criteria are sliced over the same trace window, most of that walk's
+ * work — decoding records, probing the control-dependence map, skipping
+ * records that can never change the analysis state — does not depend on
+ * the criterion. An EpochPlan does that work once, over N trace epochs:
  *
- *  1. Transcode (parallel): each epoch's records are walked backward and
- *     compiled into compact 24-byte stitch ops. Provable state-no-ops
- *     (unconditional jumps, dead-destination ALU ops, branches that no
- *     dependence list ever names) are elided, control-dependence lists
- *     are pre-resolved into per-epoch span tables, and thread ids are
- *     compressed through per-epoch tables. This moves the hash-probe and
- *     record-decode work off the serial critical path.
- *  2. Stitch (sequential, newest epoch to oldest): the ops are replayed
- *     with the full transition rules but no output bookkeeping, yielding
- *     the *exact* analysis state at every epoch boundary — the state the
- *     sequential pass would hold at that record index.
- *  3. Resolve (parallel, overlapped with the stitch): each epoch replays
- *     its ops once more, seeded with its exact boundary state, this time
- *     emitting verdict bits, counters, and peaks. Per-record verdicts are
- *     disjoint across epochs, and the one cross-epoch write (a Call
- *     marking its matching Ret) is performed only by the epoch that pops
- *     the frame, so the epochs write the shared bitmap without conflicts.
+ *  1. Transcode (parallel, at plan build): each epoch's records are
+ *     walked backward and compiled into compact 24-byte stitch ops.
+ *     Provable state-no-ops (unconditional jumps, dead-destination ALU
+ *     ops, branches that no dependence list ever names) are elided,
+ *     control-dependence lists are pre-resolved into per-epoch span
+ *     tables, thread ids are compressed through per-epoch tables, and a
+ *     gen/kill summary of the epoch is memoized.
+ *  2. Stitch (per query, sequential, newest epoch to oldest): the ops
+ *     are replayed with the full transition rules but no output
+ *     bookkeeping, yielding the *exact* analysis state at every epoch
+ *     boundary — the state the sequential pass would hold at that
+ *     record index.
+ *  3. Resolve (per query, parallel, overlapped with the stitch): each
+ *     epoch replays its ops once more, seeded with its exact boundary
+ *     state, this time emitting verdict bits, counters, and peaks.
+ *     Per-record verdicts are disjoint across epochs, and the one
+ *     cross-epoch write (a Call marking its matching Ret) is performed
+ *     only by the epoch that pops the frame, so the epochs write the
+ *     shared bitmap without conflicts.
  *
- * Because phases 2 and 3 run the same transition rules as the sequential
+ * With backwardJobs = 1 a query skips the split and replays the epochs
+ * in one walk, which stitches and resolves at once. Either way, epochs
+ * whose summary proves the incoming state passes through unchanged are
+ * skipped, and a repeated criterion is answered from a per-plan memo.
+ *
+ * Because the replay runs the same transition rules as the sequential
  * kernel over the same state types (slicer/kernel.hh), the output is
- * bit-identical to the sequential slicer by construction; the tests and
- * the scaling bench assert it.
+ * bit-identical to the sequential slicer by construction; the tests
+ * assert it.
  */
 
 #ifndef WEBSLICE_SLICER_EPOCH_HH
@@ -41,35 +50,6 @@
 
 namespace webslice {
 namespace slicer {
-
-/**
- * True when `options` ask for the epoch-parallel backward pass and the
- * trace shape supports it: backwardJobs resolves to more than one
- * thread, the live sets are the flat defaults (legacyLiveSets pins the
- * sequential oracle), and record indices fit the 32-bit op encoding.
- */
-bool epochParallelEligible(const SlicerOptions &options,
-                           size_t record_count);
-
-/** Epoch-parallel equivalent of computeSlice(); bit-identical output. */
-SliceResult computeSliceEpochParallel(std::span<const trace::Record> records,
-                                      const graph::CfgSet &cfgs,
-                                      const graph::ControlDepMap &deps,
-                                      const trace::CriteriaSet &criteria,
-                                      const SlicerOptions &options);
-
-/**
- * Epoch-parallel equivalent of computeSliceFromFile(). Each epoch streams
- * its segment through a ranged ReverseTraceReader, and the planner uses
- * the trace's block-index footer (when present) to split the trace into
- * equal-*instruction* epochs instead of equal-record ones. Unlike the
- * sequential streaming path, the transcoded ops of all epochs are held in
- * memory at once (~24 bytes per surviving record).
- */
-SliceResult computeSliceEpochParallelFromFile(
-    const std::string &path, const graph::CfgSet &cfgs,
-    const graph::ControlDepMap &deps, const trace::CriteriaSet &criteria,
-    const SlicerOptions &options);
 
 /**
  * An immutable, criterion-independent epoch transcode: the per-epoch
@@ -109,9 +89,9 @@ class EpochPlan
 
     /**
      * True when this plan can serve a slice under `options`: same trace
-     * length, same analyzed window, same dependence knobs, flat live
-     * sets. The criteria mode is deliberately not part of the key — the
-     * transcode is criterion-independent.
+     * length, same analyzed window, same dependence knobs. The criteria
+     * mode is deliberately not part of the key — the transcode is
+     * criterion-independent.
      */
     bool compatibleWith(const SlicerOptions &options,
                         size_t record_count) const;
@@ -122,11 +102,13 @@ class EpochPlan
 
 /**
  * Transcode `records` into a reusable EpochPlan for the window
- * [0, min(options.endIndex, records.size())). Only the dependence knobs
- * and the window of `options` matter; mode and job counts do not.
- * Returns null when the shape is unsupported (legacy live sets, empty
- * window, record indices beyond 32 bits, or an epoch with more than 256
- * distinct threads) — callers fall back to the plan-less paths.
+ * [0, min(options.endIndex, records.size())), on all hardware threads.
+ * Only the dependence knobs and the window of `options` matter; mode
+ * and job counts do not. The epoch count depends only on the window
+ * length (EpochPlanner::boundariesOverrideForTesting replaces it).
+ * Returns null when the shape is unsupported (empty window, record
+ * indices beyond 32 bits, or an epoch with more than 256 distinct
+ * threads) — callers fall back to the sequential walk.
  */
 std::shared_ptr<const EpochPlan>
 buildEpochPlan(std::span<const trace::Record> records,
@@ -136,7 +118,7 @@ buildEpochPlan(std::span<const trace::Record> records,
 
 /**
  * Run one query over a prepared plan: no transcode, summary-gated epoch
- * skipping, sequential or epoch-parallel resolve per
+ * skipping, one sequential replay or a parallel stitch/resolve per
  * options.backwardJobs. The plan must be compatibleWith() the options.
  * Output is bit-identical to the sequential oracle (the usual
  * flatProbes/flatResizes diagnostics excepted).
@@ -149,20 +131,20 @@ SliceResult computeSliceWithPlan(const EpochPlan &plan,
 struct EpochPlanner
 {
     /**
-     * When non-null, the interior epoch boundaries to use instead of the
-     * planner's equal split — lets tests force boundaries through syscall
-     * groups, pending branches, or live registers. Values are clamped to
-     * the analysis window and still pass through
+     * When non-null, the interior epoch boundaries buildEpochPlan uses
+     * instead of its equal split — lets tests force boundaries through
+     * syscall groups, pending branches, or live registers. Values are
+     * clamped to the analysis window and still pass through
      * CriteriaSet::splitBoundary. Not thread-safe; tests only.
      */
     static const std::vector<size_t> *boundariesOverrideForTesting;
 
     /**
-     * When true, every epoch summary built by buildEpochPlan or the
-     * inline transcode reports itself widened, so no epoch is ever
-     * skippable and every query pays the full walk — the conservative
-     * fallback, forced. Results must not change; tests assert exactly
-     * that. Not thread-safe; tests only.
+     * When true, every epoch summary built by buildEpochPlan reports
+     * itself widened, so no epoch is ever skippable and every query
+     * pays the full walk — the conservative fallback, forced. Results
+     * must not change; tests assert exactly that. Not thread-safe;
+     * tests only.
      */
     static bool forceWidenedSummariesForTesting;
 };

@@ -1,18 +1,18 @@
 /**
  * @file
- * The backward slicer's shared kernel state: live-set policies and the
- * per-thread analysis state.
+ * The backward slicer's shared kernel state: the per-thread analysis
+ * state both walks carry.
  *
- * Both backward-pass drivers build on these types:
+ * Two walks build on this type:
  *  - the sequential pass (slicer.cc), which is the oracle every other
  *    configuration must match bit for bit, and
- *  - the epoch-parallel driver (epoch.cc), whose stitch and resolve
- *    phases re-run the same transition rules over per-epoch segments.
+ *  - the epoch-plan replay (epoch.cc), whose stitch and resolve phases
+ *    re-run the same transition rules over per-epoch segments.
  *
- * Keeping the state types in one header is what makes "bit-identical"
- * a structural guarantee instead of a testing aspiration: there is one
+ * Keeping the state in one header is what makes "bit-identical" a
+ * structural guarantee instead of a testing aspiration: there is one
  * definition of gen/kill, one pending-branch container, one frame
- * stack — the drivers differ only in traversal order and bookkeeping.
+ * stack — the walks differ only in traversal order and bookkeeping.
  */
 
 #ifndef WEBSLICE_SLICER_KERNEL_HH
@@ -20,85 +20,34 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "support/flat_map.hh"
-#include "support/sparse_byte_set.hh"
 #include "trace/record.hh"
 
 namespace webslice {
 namespace slicer {
 
-/** std::unordered_set with the pending-set interface (legacy baseline). */
-struct StdPendingSet
-{
-    std::unordered_set<trace::Pc> set;
-
-    void insert(trace::Pc pc) { set.insert(pc); }
-    bool erase(trace::Pc pc) { return set.erase(pc) != 0; }
-    size_t size() const { return set.size(); }
-    uint64_t probeCount() const { return 0; }
-    uint64_t resizeCount() const { return 0; }
-};
-
-/**
- * The default live-set implementations: flat-hash live memory, flat-hash
- * pending branches, byte-per-register liveness flags, a dense per-tid
- * thread-state array, and the flat-indexed control-dependence lookup.
- */
-struct FlatPolicy
-{
-    using ByteSet = SparseByteSet;
-    using PendingSet = FlatSet64;
-    using RegFlags = std::vector<uint8_t>;
-    static constexpr bool kDenseThreads = true;
-    static constexpr bool kIndexedDeps = true;
-    static constexpr bool kPreallocRegs = true;
-};
-
-/**
- * The seed implementations, kept as the measured perf baseline: every
- * container and lookup path matches what the profiler shipped with, so
- * benchmarks comparing against this policy report the real gain.
- */
-struct LegacyPolicy
-{
-    using ByteSet = LegacySparseByteSet;
-    using PendingSet = StdPendingSet;
-    using RegFlags = std::vector<bool>;
-    static constexpr bool kDenseThreads = false;
-    static constexpr bool kIndexedDeps = false;
-    static constexpr bool kPreallocRegs = false;
-};
-
 /**
  * Per-thread analysis state for the backward pass.
  *
- * Copyable by design: the epoch driver snapshots the full analysis state
+ * Copyable by design: the plan replay snapshots the full analysis state
  * at each epoch boundary and seeds the epoch's resolve from the copy.
  */
-template <typename Policy>
 struct ThreadState
 {
     /**
-     * Live virtual registers. The flat policy sizes the array for the
-     * whole RegId space upfront (64 KiB per thread) so the hot
+     * Live virtual registers, one flag byte per RegId. The array covers
+     * the whole RegId space upfront (64 KiB per thread) so the hot
      * gen/kill paths carry no bounds or sentinel branches: kNoReg
-     * indexes a slot that is never set. The legacy policy keeps the
-     * seed's grown-on-demand vector<bool>.
+     * indexes a slot that is never set.
      */
-    typename Policy::RegFlags liveRegs;
+    std::vector<uint8_t> liveRegs =
+        std::vector<uint8_t>(size_t{trace::kNoReg} + 1, 0);
     size_t liveRegCount = 0;
 
-    ThreadState()
-    {
-        if constexpr (Policy::kPreallocRegs)
-            liveRegs.assign(size_t{trace::kNoReg} + 1, 0);
-    }
-
     /** Branch pcs waiting for their nearest preceding dynamic instance. */
-    typename Policy::PendingSet pending;
+    FlatSet64 pending;
 
     /**
      * Backward-reconstructed call stack. A frame is opened at a Ret record
@@ -119,26 +68,15 @@ struct ThreadState
     std::vector<trace::MemRange> syscallReads;
     bool syscallWriteWasLive = false;
 
-    bool
-    regLive(trace::RegId reg) const
-    {
-        if constexpr (Policy::kPreallocRegs)
-            return liveRegs[reg] != 0;
-        else
-            return reg < liveRegs.size() && liveRegs[reg];
-    }
+    bool regLive(trace::RegId reg) const { return liveRegs[reg] != 0; }
 
     void
     genReg(trace::RegId reg)
     {
         if (reg == trace::kNoReg)
             return;
-        if constexpr (!Policy::kPreallocRegs) {
-            if (reg >= liveRegs.size())
-                liveRegs.resize(reg + 1, false);
-        }
         if (!liveRegs[reg]) {
-            liveRegs[reg] = true;
+            liveRegs[reg] = 1;
             ++liveRegCount;
         }
     }
@@ -147,15 +85,10 @@ struct ThreadState
     bool
     killReg(trace::RegId reg)
     {
-        if constexpr (Policy::kPreallocRegs) {
-            // kNoReg's slot exists and is never set; no sentinel branch.
-            if (!liveRegs[reg])
-                return false;
-        } else {
-            if (reg == trace::kNoReg || !regLive(reg))
-                return false;
-        }
-        liveRegs[reg] = false;
+        // kNoReg's slot exists and is never set; no sentinel branch.
+        if (!liveRegs[reg])
+            return false;
+        liveRegs[reg] = 0;
         --liveRegCount;
         return true;
     }

@@ -1,14 +1,15 @@
 #include "slicer/slicer.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "slicer/epoch.hh"
 #include "slicer/kernel.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
+#include "support/sparse_byte_set.hh"
 #include "support/stopwatch.hh"
 #include "trace/trace_file.hh"
 
@@ -16,17 +17,14 @@ namespace webslice {
 namespace slicer {
 
 using trace::FuncId;
-using trace::kNoReg;
 using trace::Pc;
 using trace::Record;
 using trace::RecordKind;
-using trace::RegId;
 using trace::ThreadId;
 
 /**
- * The state shared by every backward-pass implementation; the live-set
- * data structures live in the templated subclass so the flat-hash default
- * and the legacy baseline can coexist behind one virtual feed().
+ * The sequential backward walk: one shared live-memory set, one dense
+ * per-tid array of thread states, and the verdicts being produced.
  */
 struct BackwardPass::Impl
 {
@@ -40,6 +38,16 @@ struct BackwardPass::Impl
     size_t lastIndex;
     bool finished = false;
 
+    SparseByteSet liveMem;
+
+    /** Thread states, indexed by tid. */
+    std::vector<std::unique_ptr<ThreadState>> threads;
+
+    /** One-entry thread-state cache: traces run long same-tid stretches,
+     *  and the unique_ptr array keeps state addresses stable. */
+    ThreadId lastTid = 0;
+    ThreadState *lastState = nullptr;
+
     Impl(const graph::CfgSet &cfgs_in, const graph::ControlDepMap &deps_in,
          const trace::CriteriaSet &criteria_in,
          const SlicerOptions &options_in, size_t record_count)
@@ -52,52 +60,19 @@ struct BackwardPass::Impl
             std::min(options.endIndex, record_count);
     }
 
-    virtual ~Impl() = default;
-
-    virtual void feed(size_t idx, const Record &rec) = 0;
-    virtual void run(std::span<const Record> records) = 0;
-
-    /** Fold live-set diagnostics into `result` (called once, at finish). */
-    virtual void collectStats() = 0;
-};
-
-namespace {
-
-template <typename Policy>
-struct ImplT final : BackwardPass::Impl
-{
-    using State = ThreadState<Policy>;
-
-    typename Policy::ByteSet liveMem;
-
-    /** Thread states: dense per-tid array (flat) or hash map (legacy). */
-    std::vector<std::unique_ptr<State>> threadsDense;
-    std::unordered_map<ThreadId, State> threadsMap;
-
-    /** One-entry thread-state cache: traces run long same-tid stretches,
-     *  and the unique_ptr array keeps State addresses stable. */
-    ThreadId lastTid = 0;
-    State *lastState = nullptr;
-
-    using BackwardPass::Impl::Impl;
-
-    State &
+    ThreadState &
     threadState(ThreadId tid)
     {
-        if constexpr (Policy::kDenseThreads) {
-            if (lastState && lastTid == tid)
-                return *lastState;
-            if (tid >= threadsDense.size())
-                threadsDense.resize(tid + 1);
-            auto &slot = threadsDense[tid];
-            if (!slot)
-                slot = std::make_unique<State>();
-            lastTid = tid;
-            lastState = slot.get();
-            return *slot;
-        } else {
-            return threadsMap[tid];
-        }
+        if (lastState && lastTid == tid)
+            return *lastState;
+        if (tid >= threads.size())
+            threads.resize(tid + 1);
+        auto &slot = threads[tid];
+        if (!slot)
+            slot = std::make_unique<ThreadState>();
+        lastTid = tid;
+        lastState = slot.get();
+        return *slot;
     }
 
     /** Track the live-memory high-water marks; the peaks can only move
@@ -112,14 +87,11 @@ struct ImplT final : BackwardPass::Impl
     }
 
     void
-    addControlDeps(State &ts, FuncId func, Pc pc)
+    addControlDeps(ThreadState &ts, FuncId func, Pc pc)
     {
         if (!options.includeControlDeps)
             return;
-        const auto branches = Policy::kIndexedDeps
-                                  ? deps.depsOf(func, pc)
-                                  : deps.depsOfUnindexed(func, pc);
-        for (const Pc branch : branches)
+        for (const Pc branch : deps.depsOf(func, pc))
             ts.pending.insert(branch);
         result.peakPendingBranches = std::max<uint64_t>(
             result.peakPendingBranches, ts.pending.size());
@@ -129,7 +101,7 @@ struct ImplT final : BackwardPass::Impl
     // consequences shared by every record kind: control dependences and
     // the enclosing-instance flag.
     void
-    include(size_t index, const Record &rec, State &ts)
+    include(size_t index, const Record &rec, ThreadState &ts)
     {
         result.inSlice[index] = 1;
         ++result.sliceInstructions;
@@ -139,7 +111,7 @@ struct ImplT final : BackwardPass::Impl
     }
 
     void
-    feed(size_t idx, const Record &rec) override
+    feed(size_t idx, const Record &rec)
     {
         panic_if(finished, "feed after finish");
         panic_if(idx >= lastIndex,
@@ -154,7 +126,7 @@ struct ImplT final : BackwardPass::Impl
     }
 
     void
-    run(std::span<const Record> records) override
+    run(std::span<const Record> records)
     {
         panic_if(finished, "run after finish");
         panic_if(lastIndex != recordCount,
@@ -173,30 +145,24 @@ struct ImplT final : BackwardPass::Impl
         lastIndex = 0;
     }
 
+    /** Fold live-set diagnostics into `result` (called once, at finish). */
     void
-    collectStats() override
+    collectStats()
     {
         result.flatProbes = liveMem.probeCount();
         result.flatResizes = liveMem.resizeCount();
-        const auto fold = [this](const State &ts) {
-            result.flatProbes += ts.pending.probeCount();
-            result.flatResizes += ts.pending.resizeCount();
-        };
-        if constexpr (Policy::kDenseThreads) {
-            for (const auto &slot : threadsDense) {
-                if (slot)
-                    fold(*slot);
+        for (const auto &ts : threads) {
+            if (ts) {
+                result.flatProbes += ts->pending.probeCount();
+                result.flatResizes += ts->pending.resizeCount();
             }
-        } else {
-            for (const auto &kv : threadsMap)
-                fold(kv.second);
         }
     }
 
     void
     step(size_t idx, const Record &rec)
     {
-        State &ts = threadState(rec.tid);
+        ThreadState &ts = threadState(rec.tid);
 
         if (!rec.isPseudo())
             ++result.instructionsAnalyzed;
@@ -302,7 +268,7 @@ struct ImplT final : BackwardPass::Impl
           }
 
           case RecordKind::Ret: {
-            ts.frames.push_back(typename State::Frame{idx, false});
+            ts.frames.push_back(ThreadState::Frame{idx, false});
             break;
           }
 
@@ -331,8 +297,6 @@ struct ImplT final : BackwardPass::Impl
     }
 };
 
-} // namespace
-
 BackwardPass::BackwardPass(const graph::CfgSet &cfgs,
                            const graph::ControlDepMap &deps,
                            const trace::CriteriaSet &criteria,
@@ -341,13 +305,8 @@ BackwardPass::BackwardPass(const graph::CfgSet &cfgs,
 {
     panic_if(cfgs.funcOf.size() != record_count,
              "forward-pass attribution does not match the trace length");
-    if (options.legacyLiveSets) {
-        impl_ = std::make_unique<ImplT<LegacyPolicy>>(
-            cfgs, deps, criteria, options, record_count);
-    } else {
-        impl_ = std::make_unique<ImplT<FlatPolicy>>(
-            cfgs, deps, criteria, options, record_count);
-    }
+    impl_ = std::make_unique<Impl>(cfgs, deps, criteria, options,
+                                   record_count);
 }
 
 BackwardPass::~BackwardPass() = default;
@@ -406,21 +365,11 @@ computeSlice(std::span<const Record> records, const graph::CfgSet &cfgs,
             return computeSliceWithPlan(*options.reusePlan, criteria,
                                         options);
         }
-        // Stale or mismatched plan: fall through to the regular paths.
+        // Stale or mismatched plan: fall through to the sequential walk.
         registry.counter("slicer.plan_misses").add(1);
     }
-    if (epochParallelEligible(options, records.size()))
-        return computeSliceEpochParallel(records, cfgs, deps, criteria,
-                                         options);
     BackwardPass pass(cfgs, deps, criteria, options, records.size());
-    if (options.legacyLiveSets) {
-        // The baseline policy also keeps the seed's per-record dispatch,
-        // so benchmarks against it measure the loop the seed shipped.
-        for (size_t idx = records.size(); idx-- > 0;)
-            pass.feed(idx, records[idx]);
-    } else {
-        pass.run(records);
-    }
+    pass.run(records);
     return pass.finish();
 }
 
@@ -440,9 +389,6 @@ computeSliceFromFile(const std::string &path, const graph::CfgSet &cfgs,
         }
         registry.counter("slicer.plan_misses").add(1);
     }
-    if (epochParallelEligible(options, cfgs.funcOf.size()))
-        return computeSliceEpochParallelFromFile(path, cfgs, deps,
-                                                 criteria, options);
     trace::ReverseTraceReader reader(path);
     BackwardPass pass(cfgs, deps, criteria, options,
                       static_cast<size_t>(reader.count()));

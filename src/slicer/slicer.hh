@@ -80,24 +80,15 @@ struct SlicerOptions
     int jobs = 1;
 
     /**
-     * Worker threads for the backward pass. 1 (the default) runs the
-     * sequential reverse walk; values > 1 (or <= 0 for "all hardware
-     * threads") engage the epoch-parallel driver: the trace is split
-     * into epochs that are transcoded in parallel, stitched newest to
-     * oldest into exact boundary states, and resolved in parallel (see
-     * slicer/epoch.hh). The slice is bit-identical to the sequential
-     * walk for every value; legacyLiveSets forces the sequential path
-     * because it is the measured oracle baseline.
+     * Worker threads for replaying a compatible reusePlan. 1 (the
+     * default) replays the plan's epochs in one walk; values > 1 (or
+     * <= 0 for "all hardware threads") stitch the epochs newest to
+     * oldest into exact boundary states and resolve them in parallel
+     * (see slicer/epoch.hh). A cold query — one without a compatible
+     * plan — always runs the sequential walk, whatever this says. The
+     * slice is bit-identical for every value.
      */
     int backwardJobs = 1;
-
-    /**
-     * Benchmark/ablation knob: run the backward pass on the original
-     * std::unordered_map-based live sets instead of the flat-hash ones.
-     * Results are identical; only speed and memory differ. This is the
-     * measured baseline in bench/pipeline_scaling.
-     */
-    bool legacyLiveSets = false;
 
     /**
      * When > 0, computeSliceFromFile prints a heartbeat to stderr at
@@ -118,7 +109,7 @@ struct SlicerOptions
      * criterion (same mode and criteria content — job counts are
      * execution knobs) is answered from a per-plan result memo without
      * walking at all. Incompatible or null plans fall back to
-     * the regular paths. Non-owning: the plan (and the control-dependence
+     * the sequential walk. Non-owning: the plan (and the control-dependence
      * map it points into) must outlive the call.
      */
     const EpochPlan *reusePlan = nullptr;
@@ -155,7 +146,12 @@ struct SliceResult
     uint64_t peakLiveMemChunks = 0;
     uint64_t peakPendingBranches = 0;
 
-    /** Live-set hash-table totals (0 under the legacy containers). */
+    /**
+     * Live-set hash-table totals: live-memory chunk index plus the
+     * pending-branch sets. A plan replay grows its tables per epoch, so
+     * these two diagnostics are the only fields that may differ from
+     * the sequential walk's.
+     */
     uint64_t flatProbes = 0;
     uint64_t flatResizes = 0;
 
@@ -200,19 +196,17 @@ class BackwardPass
 
     /**
      * Consume an entire in-memory trace in one call — equivalent to
-     * feeding every record in descending order, but the per-record
-     * dispatch is devirtualized so the hot loop inlines. The pass must
-     * be fresh (no feed() calls yet).
+     * feeding every record in descending order, with the window check
+     * hoisted out of the loop. The pass must be fresh (no feed() calls
+     * yet).
      */
     void run(std::span<const trace::Record> records);
 
     /** Return the result; the pass is spent. */
     SliceResult finish();
 
-    /** Opaque state; public only so the .cc's policy impls can derive. */
-    struct Impl;
-
   private:
+    struct Impl;
     std::unique_ptr<Impl> impl_;
 };
 

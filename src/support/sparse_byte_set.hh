@@ -8,121 +8,43 @@
  * memory use is proportional to the number of live bytes, not to the
  * address-space span.
  *
- * The chunk index is pluggable: the default SparseByteSet stores chunks
- * in an open-addressing FlatMap64 (the backward pass probes this map once
- * or twice per trace record, making it the profiler's hottest structure),
- * while LegacySparseByteSet keeps the original std::unordered_map interior
- * as the measured baseline for benchmarks and ablations. A one-entry
- * last-chunk cache short-circuits the common case of consecutive records
- * touching the same 64-byte chunk.
+ * Chunks live in an open-addressing FlatMap64 (the backward pass probes
+ * this map once or twice per trace record, making it the profiler's
+ * hottest structure). A one-entry last-chunk cache short-circuits the
+ * common case of consecutive records touching the same 64-byte chunk.
  */
 
 #ifndef WEBSLICE_SUPPORT_SPARSE_BYTE_SET_HH
 #define WEBSLICE_SUPPORT_SPARSE_BYTE_SET_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
 #include "support/flat_map.hh"
 
 namespace webslice {
 
 /**
- * Adapter giving std::unordered_map the same chunk-index interface as
- * FlatMap64. Kept as the pre-flat-hash baseline (benchmarks compare the
- * two; the slicer's legacy mode uses it).
- */
-class StdChunkMap
-{
-  public:
-    const uint64_t *
-    find(uint64_t key) const
-    {
-        auto it = map_.find(key);
-        return it == map_.end() ? nullptr : &it->second;
-    }
-
-    uint64_t *
-    find(uint64_t key)
-    {
-        auto it = map_.find(key);
-        return it == map_.end() ? nullptr : &it->second;
-    }
-
-    uint64_t &findOrInsert(uint64_t key) { return map_[key]; }
-
-    bool
-    erase(uint64_t key)
-    {
-        if (map_.erase(key) == 0)
-            return false;
-        ++generation_;
-        return true;
-    }
-
-    size_t size() const { return map_.size(); }
-    bool empty() const { return map_.empty(); }
-
-    void
-    clear()
-    {
-        map_.clear();
-        ++generation_;
-    }
-
-    uint32_t generation() const { return generation_; }
-
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const auto &kv : map_)
-            fn(kv.first, kv.second);
-    }
-
-    size_t
-    heapBytes() const
-    {
-        // Approximation: one node (key + value + next pointer) per entry
-        // plus the bucket array.
-        return map_.size() * (sizeof(uint64_t) * 3) +
-               map_.bucket_count() * sizeof(void *);
-    }
-
-    /** std::unordered_map hides its probing; report zero. */
-    uint64_t probeCount() const { return 0; }
-    uint64_t resizeCount() const { return 0; }
-
-  private:
-    std::unordered_map<uint64_t, uint64_t> map_;
-    uint32_t generation_ = 0;
-};
-
-/**
  * Set of individual byte addresses, stored as 64-byte chunks with one
- * presence bit per byte. ChunkMap supplies the chunk-base -> bitmask
- * index (FlatMap64 or StdChunkMap). kCacheLastChunk enables the
- * one-entry last-chunk cache; the legacy baseline disables it so
- * benchmarks measure the seed's uncached lookups.
+ * presence bit per byte, indexed by chunk base in a FlatMap64.
  */
-template <typename ChunkMap, bool kCacheLastChunk = true>
-class BasicSparseByteSet
+class SparseByteSet
 {
   public:
-    BasicSparseByteSet() = default;
+    SparseByteSet() = default;
 
     // Copies reset the last-chunk cache: the cached slot pointer aims
     // into the *source* set's chunk storage, and the copied generation
-    // counter would make it look valid. The epoch-parallel slicer
-    // snapshots live sets at epoch boundaries, so copies must be safe.
-    BasicSparseByteSet(const BasicSparseByteSet &other)
+    // counter would make it look valid. The epoch-plan replay snapshots
+    // live sets at epoch boundaries, so copies must be safe.
+    SparseByteSet(const SparseByteSet &other)
         : chunks_(other.chunks_), population_(other.population_)
     {
     }
 
-    BasicSparseByteSet &
-    operator=(const BasicSparseByteSet &other)
+    SparseByteSet &
+    operator=(const SparseByteSet &other)
     {
         if (this != &other) {
             chunks_ = other.chunks_;
@@ -228,10 +150,10 @@ class BasicSparseByteSet
     /** Bytes of heap storage held by the chunk index (diagnostics). */
     size_t heapBytes() const { return chunks_.heapBytes(); }
 
-    /** Chunk-index probe total (0 for the legacy interior). */
+    /** Chunk-index probe total. */
     uint64_t probeCount() const { return chunks_.probeCount(); }
 
-    /** Chunk-index rehash total (0 for the legacy interior). */
+    /** Chunk-index rehash total. */
     uint64_t resizeCount() const { return chunks_.resizeCount(); }
 
   private:
@@ -253,16 +175,12 @@ class BasicSparseByteSet
     uint64_t &
     chunkFor(uint64_t base)
     {
-        if constexpr (kCacheLastChunk) {
-            if (cacheBase_ == base && cacheGen_ == chunks_.generation())
-                return *cachePtr_;
-        }
+        if (cacheBase_ == base && cacheGen_ == chunks_.generation())
+            return *cachePtr_;
         uint64_t &bits = chunks_.findOrInsert(base);
-        if constexpr (kCacheLastChunk) {
-            cacheBase_ = base;
-            cachePtr_ = &bits;
-            cacheGen_ = chunks_.generation();
-        }
+        cacheBase_ = base;
+        cachePtr_ = &bits;
+        cacheGen_ = chunks_.generation();
         return bits;
     }
 
@@ -270,17 +188,13 @@ class BasicSparseByteSet
     const uint64_t *
     findChunk(uint64_t base) const
     {
-        if constexpr (kCacheLastChunk) {
-            if (cacheBase_ == base && cacheGen_ == chunks_.generation())
-                return cachePtr_;
-        }
+        if (cacheBase_ == base && cacheGen_ == chunks_.generation())
+            return cachePtr_;
         const uint64_t *bits = chunks_.find(base);
-        if constexpr (kCacheLastChunk) {
-            if (bits) {
-                cacheBase_ = base;
-                cachePtr_ = const_cast<uint64_t *>(bits);
-                cacheGen_ = chunks_.generation();
-            }
+        if (bits) {
+            cacheBase_ = base;
+            cachePtr_ = const_cast<uint64_t *>(bits);
+            cacheGen_ = chunks_.generation();
         }
         return bits;
     }
@@ -309,20 +223,13 @@ class BasicSparseByteSet
         }
     }
 
-    ChunkMap chunks_;
+    FlatMap64 chunks_;
     size_t population_ = 0;
 
     mutable uint64_t cacheBase_ = kNoBase;
     mutable uint64_t *cachePtr_ = nullptr;
     mutable uint32_t cacheGen_ = 0;
 };
-
-/** The profiler's live-memory set (flat-hash interior, cached). */
-using SparseByteSet = BasicSparseByteSet<FlatMap64, true>;
-
-/** Pre-flat-hash baseline, for benchmarks and the slicer's legacy mode:
- *  node-based interior, no last-chunk cache — the seed's behavior. */
-using LegacySparseByteSet = BasicSparseByteSet<StdChunkMap, false>;
 
 } // namespace webslice
 

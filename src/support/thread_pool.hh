@@ -26,10 +26,10 @@ namespace webslice {
 
 /**
  * Tracks a set of tasks posted to a ThreadPool so a producer can block
- * until all of them have run. The epoch-parallel slicer posts per-epoch
- * transcode and resolve tasks against one group while its stitch phase
- * keeps running on the calling thread; the first exception thrown by any
- * task is captured and rethrown from wait().
+ * until all of them have run. The epoch-plan replay posts per-epoch
+ * resolve tasks against one group while its stitch phase keeps running
+ * on the calling thread; the first exception thrown by any task is
+ * captured and rethrown from wait().
  */
 class TaskGroup
 {

@@ -21,13 +21,13 @@
  * LZ codec (support/lz.hh). The block index (offsets, sizes, per-block
  * executed/pseudo counts, checkpoints) lives at the end of the file and
  * is located via the header, subsuming the v1 WEBTIDX1 footer: the
- * epoch planner's equal-work split and the ranged readers' seeks both
- * come straight out of it.
+ * per-block counts and the ranged and reverse readers' seeks both come
+ * straight out of it.
  *
  * Decoded blocks are cached in a process-wide, byte-budgeted LRU
  * (TraceDecodeCache) shared by ranged reads, the streaming readers, and
- * the service (which folds the budget into --cache-bytes), so one
- * epoch-parallel backward pass decodes each block once, not per-epoch.
+ * the service (which folds the budget into --cache-bytes), so readers
+ * that revisit a block decode it once.
  *
  * File layout:
  *   V2Header  { "WEBTRC2\0", recordCount, indexOffset }

@@ -739,35 +739,6 @@ ReverseTraceReader::ReverseTraceReader(const std::string &path,
     }
 }
 
-ReverseTraceReader::ReverseTraceReader(const std::string &path,
-                                       uint64_t first, uint64_t last,
-                                       size_t block_records, bool prefetch)
-    : blockRecords_(block_records ? block_records : 1)
-{
-    if (sniffTraceFormat(path) == TraceFormat::V2) {
-        v2_ = std::make_unique<V2TraceFile>(path);
-        count_ = v2_->count();
-        blockRecords_ =
-            static_cast<size_t>(v2_->index().blockRecords);
-    } else {
-        file_ = std::fopen(path.c_str(), "rb");
-        fatal_if(!file_, "cannot open trace file ", path);
-        const TraceHeader header = readHeader(file_, path);
-        count_ = header.recordCount;
-    }
-    fatal_if(first > last || last > count_, "trace range [", first, ", ",
-             last, ") out of bounds in ", path, " (", count_,
-             " records)");
-    rangeFirst_ = first;
-    remaining_ = last - first;
-
-    prefetch_ = prefetch && remaining_ > blockRecords_;
-    if (prefetch_) {
-        ioRemaining_ = remaining_;
-        io_ = std::thread([this] { ioLoop(); });
-    }
-}
-
 ReverseTraceReader::~ReverseTraceReader()
 {
     if (prefetch_) {
@@ -787,15 +758,13 @@ size_t
 ReverseTraceReader::fillReverseV2(std::vector<Record> &buf,
                                   uint64_t remaining)
 {
-    // One past the highest unread record, in absolute file indices.
-    const uint64_t top = rangeFirst_ + remaining;
-    const size_t b = v2_->blockOf(top - 1);
+    // `remaining` is one past the highest unread record; the chunk is
+    // the part of its block below that.
+    const size_t b = v2_->blockOf(remaining - 1);
     const auto block = TraceDecodeCache::global().acquire(*v2_, b);
     const uint64_t block_start = b * v2_->index().blockRecords;
-    // The chunk is the in-range part of this block below `top`.
-    const uint64_t lo = std::max<uint64_t>(rangeFirst_, block_start);
-    buf.assign(block->begin() + static_cast<size_t>(lo - block_start),
-               block->begin() + static_cast<size_t>(top - block_start));
+    buf.assign(block->begin(),
+               block->begin() + static_cast<size_t>(remaining - block_start));
     return buf.size();
 }
 
@@ -818,8 +787,7 @@ ReverseTraceReader::ioLoop()
         } else {
             this_block = static_cast<size_t>(
                 std::min<uint64_t>(blockRecords_, ioRemaining_));
-            const uint64_t first_index =
-                rangeFirst_ + (ioRemaining_ - this_block);
+            const uint64_t first_index = ioRemaining_ - this_block;
             const long offset = static_cast<long>(
                 sizeof(TraceHeader) + first_index * sizeof(Record));
             fatal_if(std::fseek(file_, offset, SEEK_SET) != 0,
@@ -866,7 +834,7 @@ ReverseTraceReader::loadPrecedingBlock()
     const uint64_t already_read = remaining_;
     const size_t this_block = static_cast<size_t>(
         std::min<uint64_t>(blockRecords_, already_read));
-    const uint64_t first_index = rangeFirst_ + (already_read - this_block);
+    const uint64_t first_index = already_read - this_block;
     const long offset = static_cast<long>(
         sizeof(TraceHeader) + first_index * sizeof(Record));
     fatal_if(std::fseek(file_, offset, SEEK_SET) != 0,

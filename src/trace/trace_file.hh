@@ -74,13 +74,11 @@ constexpr size_t kTraceIndexBlockRecords = 1 << 16;
 
 /**
  * Per-block work counts over a trace, written as an optional magic-gated
- * footer after the record array (TraceWriter with block_index enabled).
- * The epoch-parallel slicer's planner uses the executed-instruction
- * counts to split the trace into equal-*work* epochs without scanning
- * the records, and the segmented readers use the fixed block geometry to
- * seek straight to an epoch's first record. Files without a footer load
- * exactly as before; files with trailing bytes that are not a valid
- * footer still fail loudly.
+ * footer after the record array (TraceWriter with block_index enabled):
+ * executed-instruction and pseudo-record counts per fixed-size block, so
+ * a reader can size a slice of the trace without scanning its records.
+ * Files without a footer load exactly as before; files with trailing
+ * bytes that are not a valid footer still fail loudly.
  */
 struct TraceBlockIndex
 {
@@ -274,16 +272,6 @@ class ReverseTraceReader
     explicit ReverseTraceReader(const std::string &path,
                                 size_t block_records = 1 << 16,
                                 bool prefetch = true);
-
-    /**
-     * Segmented variant: stream only records [first, last) of the file,
-     * still last to first. The epoch-parallel slicer opens one such
-     * reader per epoch, so the per-epoch transcodes stream their
-     * segments concurrently without materializing the whole trace.
-     */
-    ReverseTraceReader(const std::string &path, uint64_t first,
-                       uint64_t last, size_t block_records = 1 << 16,
-                       bool prefetch = true);
     ~ReverseTraceReader();
 
     ReverseTraceReader(const ReverseTraceReader &) = delete;
@@ -306,16 +294,15 @@ class ReverseTraceReader
     void takePrefetched();
     void ioLoop();
 
-    /** v2: copy the preceding chunk (the in-range tail of one file
-     *  block) into `buf`, given `remaining` unfetched records below
-     *  rangeFirst_ + remaining; returns the chunk size. */
+    /** v2: copy the preceding chunk (the part of one file block below
+     *  record `remaining`, the count of unfetched records) into `buf`;
+     *  returns the chunk size. */
     size_t fillReverseV2(std::vector<Record> &buf, uint64_t remaining);
 
     std::FILE *file_ = nullptr;
     std::unique_ptr<V2TraceFile> v2_;
     size_t blockRecords_;
     uint64_t count_ = 0;
-    uint64_t rangeFirst_ = 0; ///< First record index of the ranged view.
     uint64_t remaining_ = 0;
     std::vector<Record> block_;
     size_t blockPos_ = 0; ///< Records still unread within block_.

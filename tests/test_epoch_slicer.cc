@@ -1,15 +1,16 @@
 /**
  * @file
- * Tests of the epoch-parallel backward slicer (slicer/epoch.hh).
+ * Tests of the epoch-plan replay (slicer/epoch.hh) and of the cold
+ * sequential walk it must match.
  *
  * The contract under test is brutal and simple: for every trace, every
- * criteria mode, every ablation, and every epoch plan — including
- * adversarial boundaries forced through syscall groups, pending
- * branches, live registers, and open call frames — the epoch-parallel
- * slice must be bit-identical to the sequential oracle, counters and
- * peaks included. The only tolerated divergence is the
- * flatProbes/flatResizes hash diagnostics, whose probe history depends
- * on table growth order.
+ * criteria mode, every ablation, every replay job count, and every
+ * epoch partition — including adversarial boundaries forced through
+ * syscall groups, pending branches, live registers, and open call
+ * frames — a plan replay must be bit-identical to the sequential
+ * oracle, counters and peaks included. The only tolerated divergence is
+ * the flatProbes/flatResizes hash diagnostics, whose probe history
+ * depends on table growth order.
  */
 
 #include <gtest/gtest.h>
@@ -91,7 +92,25 @@ expectIdentical(const SliceResult &oracle, const SliceResult &epoch,
 }
 
 /**
- * Slice sequentially and epoch-parallel under `options` (for a few job
+ * Build a fresh plan under `options` and replay it on `jobs` threads. A
+ * fresh plan per replay keeps the per-plan result memo from answering
+ * in place of the walk under test.
+ */
+SliceResult
+replayFreshPlan(const Machine &machine, const ForwardResult &fwd,
+                SlicerOptions options, int jobs)
+{
+    const auto plan = buildEpochPlan(machine.records(), fwd.cfgs,
+                                     fwd.deps, options);
+    EXPECT_NE(plan, nullptr) << "no plan for this trace";
+    options.backwardJobs = jobs;
+    options.reusePlan = plan.get();
+    return computeSlice(machine.records(), fwd.cfgs, fwd.deps,
+                        machine.pixelCriteria(), options);
+}
+
+/**
+ * Slice sequentially and by plan replay under `options` (for a few job
  * counts) and assert bit-identity.
  */
 void
@@ -100,17 +119,11 @@ expectEpochMatchesSequential(const Machine &machine,
                              const char *what = "epoch vs sequential")
 {
     const ForwardResult fwd(machine);
-    options.backwardJobs = 1;
     const auto oracle = computeSlice(machine.records(), fwd.cfgs,
                                      fwd.deps, machine.pixelCriteria(),
                                      options);
-    for (const int jobs : {2, 3, 8}) {
-        options.backwardJobs = jobs;
-        ASSERT_TRUE(epochParallelEligible(options,
-                                          machine.records().size()));
-        const auto epoch = computeSlice(machine.records(), fwd.cfgs,
-                                        fwd.deps,
-                                        machine.pixelCriteria(), options);
+    for (const int jobs : {1, 2, 3, 8}) {
+        const auto epoch = replayFreshPlan(machine, fwd, options, jobs);
         expectIdentical(oracle, epoch, what);
     }
 }
@@ -129,17 +142,6 @@ nthOfKind(const Machine &machine, RecordKind kind, size_t n = 0)
     }
     ADD_FAILURE() << "record of requested kind not found";
     return records.size();
-}
-
-TEST(EpochSlicer, Eligibility)
-{
-    SlicerOptions options;
-    EXPECT_FALSE(epochParallelEligible(options, 100)); // backwardJobs=1
-    options.backwardJobs = 4;
-    EXPECT_TRUE(epochParallelEligible(options, 100));
-    EXPECT_FALSE(epochParallelEligible(options, 0)); // empty trace
-    options.legacyLiveSets = true; // the measured oracle stays sequential
-    EXPECT_FALSE(epochParallelEligible(options, 100));
 }
 
 TEST(EpochSlicer, MatchesSequentialOnStraightLineProgram)
@@ -184,11 +186,7 @@ TEST(EpochSlicer, RegisterLivenessCrossesEpochBoundary)
     expectEpochMatchesSequential(machine);
 
     const ForwardResult fwd(machine);
-    SlicerOptions options;
-    options.backwardJobs = 2;
-    const auto result = computeSlice(machine.records(), fwd.cfgs,
-                                     fwd.deps, machine.pixelCriteria(),
-                                     options);
+    const auto result = replayFreshPlan(machine, fwd, {}, 2);
     EXPECT_TRUE(result.inSlice[0]);
     EXPECT_FALSE(result.inSlice[1]);
 }
@@ -228,11 +226,7 @@ TEST(EpochSlicer, PendingBranchResolvesInEarlierEpoch)
     expectEpochMatchesSequential(machine);
 
     const ForwardResult fwd(machine);
-    SlicerOptions options;
-    options.backwardJobs = 2;
-    const auto result = computeSlice(machine.records(), fwd.cfgs,
-                                     fwd.deps, machine.pixelCriteria(),
-                                     options);
+    const auto result = replayFreshPlan(machine, fwd, {}, 2);
     EXPECT_TRUE(result.inSlice[live_branch]);
     EXPECT_FALSE(
         result.inSlice[nthOfKind(machine, RecordKind::Branch, 0)]);
@@ -272,11 +266,7 @@ TEST(EpochSlicer, CallFrameSpansEpochBoundary)
     expectEpochMatchesSequential(machine);
 
     const ForwardResult fwd(machine);
-    SlicerOptions options;
-    options.backwardJobs = 2;
-    const auto result = computeSlice(machine.records(), fwd.cfgs,
-                                     fwd.deps, machine.pixelCriteria(),
-                                     options);
+    const auto result = replayFreshPlan(machine, fwd, {}, 2);
     EXPECT_TRUE(result.inSlice[nthOfKind(machine, RecordKind::Call, 0)]);
     EXPECT_TRUE(result.inSlice[nthOfKind(machine, RecordKind::Ret, 0)]);
     EXPECT_FALSE(result.inSlice[nthOfKind(machine, RecordKind::Call, 1)]);
@@ -354,14 +344,10 @@ TEST(EpochSlicer, MoreJobsThanRecords)
     ctx.marker(ranges); // 3 records total
 
     const ForwardResult fwd(machine);
-    SlicerOptions options;
     const auto oracle = computeSlice(machine.records(), fwd.cfgs,
-                                     fwd.deps, machine.pixelCriteria(),
-                                     options);
-    options.backwardJobs = 64; // far more than records
-    const auto epoch = computeSlice(machine.records(), fwd.cfgs,
-                                    fwd.deps, machine.pixelCriteria(),
-                                    options);
+                                     fwd.deps, machine.pixelCriteria());
+    // Far more replay threads than records.
+    const auto epoch = replayFreshPlan(machine, fwd, {}, 64);
     expectIdentical(oracle, epoch, "jobs > records");
 }
 
@@ -558,12 +544,10 @@ TEST(EpochSlicer, FuzzBitIdentityAgainstSequential)
                 machine.records(), fwd.cfgs, fwd.deps,
                 machine.pixelCriteria(), options);
 
-            // Planner-chosen boundaries at two job counts...
-            for (const int jobs : {2, 5}) {
-                options.backwardJobs = jobs;
-                const auto epoch = computeSlice(
-                    machine.records(), fwd.cfgs, fwd.deps,
-                    machine.pixelCriteria(), options);
+            // Planner-chosen boundaries at three job counts...
+            for (const int jobs : {1, 2, 5}) {
+                const auto epoch =
+                    replayFreshPlan(machine, fwd, options, jobs);
                 expectIdentical(oracle, epoch, "fuzz planner bounds");
             }
 
@@ -573,11 +557,11 @@ TEST(EpochSlicer, FuzzBitIdentityAgainstSequential)
                 interior.push_back(
                     r.below(machine.records().size() + 2));
             const BoundaryOverride forced(interior);
-            options.backwardJobs = 3;
-            const auto epoch = computeSlice(
-                machine.records(), fwd.cfgs, fwd.deps,
-                machine.pixelCriteria(), options);
-            expectIdentical(oracle, epoch, "fuzz random bounds");
+            for (const int jobs : {1, 3}) {
+                const auto epoch =
+                    replayFreshPlan(machine, fwd, options, jobs);
+                expectIdentical(oracle, epoch, "fuzz random bounds");
+            }
         }
     }
 }
@@ -904,35 +888,6 @@ TEST(TraceBlockIndex, LoadTraceRangeReturnsExactWindow)
     EXPECT_TRUE(trace::loadTraceRange(program.path, 7, 0).empty());
 }
 
-TEST(TraceBlockIndex, RangedReverseReaderYieldsExactSegment)
-{
-    const BigSavedProgram program;
-    const auto &records = program.machine.records();
-
-    const uint64_t first = 900;
-    const uint64_t last = 70000;
-    for (const bool prefetch : {false, true}) {
-        trace::ReverseTraceReader reader(program.path, first, last,
-                                         /*block_records=*/777, prefetch);
-        trace::Record rec;
-        uint64_t idx = last;
-        while (reader.next(rec)) {
-            --idx;
-            ASSERT_EQ(rec.pc, records[idx].pc) << "prefetch=" << prefetch;
-            ASSERT_EQ(rec.addr, records[idx].addr);
-        }
-        EXPECT_EQ(idx, first);
-    }
-
-    // Empty and full ranges behave.
-    trace::ReverseTraceReader empty(program.path, uint64_t{5}, uint64_t{5});
-    trace::Record rec;
-    EXPECT_FALSE(empty.next(rec));
-    trace::ReverseTraceReader full(program.path, uint64_t{0},
-                                   uint64_t{records.size()});
-    EXPECT_EQ(full.remaining(), records.size());
-}
-
 TEST(TraceBlockIndexDeath, RangeBoundsAreChecked)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -940,80 +895,61 @@ TEST(TraceBlockIndexDeath, RangeBoundsAreChecked)
     const auto count = program.machine.records().size();
     EXPECT_DEATH(trace::loadTraceRange(program.path, count, 1),
                  "out of bounds");
-    EXPECT_DEATH(trace::ReverseTraceReader(program.path, uint64_t{10},
-                                           uint64_t{5}),
-                 "range");
 }
 
-TEST(EpochSlicer, FileSliceMatchesMemorySliceUsingIndex)
+TEST(EpochSlicer, FileSliceMatchesMemorySlice)
 {
     const BigSavedProgram program;
     const ForwardResult fwd(program.machine);
 
+    // The whole trace, then a window that cuts mid-trace.
     SlicerOptions options;
-    const auto oracle =
-        computeSlice(program.machine.records(), fwd.cfgs, fwd.deps,
-                     program.machine.pixelCriteria(), options);
-
-    auto &planned = MetricRegistry::global().counter(
-        "slicer.epochs_planned");
-    const uint64_t planned_before = planned.value();
-    options.backwardJobs = 4;
-    const auto epoch = computeSliceFromFile(
-        program.path, fwd.cfgs, fwd.deps,
-        program.machine.pixelCriteria(), options);
-    EXPECT_GT(planned.value(), planned_before);
-
-    expectIdentical(oracle, epoch, "file epoch slice");
-
-    // The windowed variant agrees too (window cuts mid-trace).
-    options.endIndex = program.machine.records().size() / 2;
-    options.backwardJobs = 1;
-    const auto windowed_oracle =
-        computeSlice(program.machine.records(), fwd.cfgs, fwd.deps,
-                     program.machine.pixelCriteria(), options);
-    options.backwardJobs = 3;
-    const auto windowed_epoch = computeSliceFromFile(
-        program.path, fwd.cfgs, fwd.deps,
-        program.machine.pixelCriteria(), options);
-    EXPECT_EQ(windowed_oracle.inSlice, windowed_epoch.inSlice);
-    EXPECT_EQ(windowed_oracle.sliceInstructions,
-              windowed_epoch.sliceInstructions);
-    EXPECT_EQ(windowed_oracle.instructionsAnalyzed,
-              windowed_epoch.instructionsAnalyzed);
+    for (const size_t end :
+         {program.machine.records().size(),
+          program.machine.records().size() / 2}) {
+        options.endIndex = end;
+        const auto memory =
+            computeSlice(program.machine.records(), fwd.cfgs, fwd.deps,
+                         program.machine.pixelCriteria(), options);
+        auto file = computeSliceFromFile(
+            program.path, fwd.cfgs, fwd.deps,
+            program.machine.pixelCriteria(), options);
+        // The streamed walk is fed the records past the window too.
+        EXPECT_EQ(file.recordsFed, program.machine.records().size());
+        file.recordsFed = memory.recordsFed;
+        expectIdentical(memory, file, "file vs memory");
+    }
 }
 
-TEST(EpochSlicer, FileSliceWithoutIndexStillMatches)
+TEST(EpochSlicer, ColdQueriesWalkSequentiallyAtAnyJobCount)
 {
-    // saveTrace writes no footer: the planner falls back to equal-record
-    // epochs and the result is still bit-identical.
-    Machine machine;
-    const auto tid = machine.addThread("main");
-    Ctx ctx(machine, tid);
-    const uint64_t pixels = machine.alloc(16, "tile");
-    for (int i = 0; i < 50; ++i) {
-        Value v = ctx.imm(i);
-        ctx.store(pixels + 4 * (i % 4), 4, v);
-    }
-    const trace::MemRange ranges[] = {{pixels, 16}};
-    ctx.marker(ranges);
+    // Without a plan, backwardJobs changes nothing: no epochs are
+    // planned, and the slice is the 1-job walk's, hash diagnostics
+    // included.
+    const BigSavedProgram program;
+    const ForwardResult fwd(program.machine);
+    const auto &records = program.machine.records();
+    const auto &criteria = program.machine.pixelCriteria();
 
-    const std::string path =
-        std::string(::testing::TempDir()) + "epoch_noindex.trc";
-    trace::saveTrace(path, machine.records());
-    EXPECT_FALSE(trace::loadTraceBlockIndex(path).present());
-
-    const ForwardResult fwd(machine);
     SlicerOptions options;
-    const auto oracle = computeSlice(machine.records(), fwd.cfgs,
-                                     fwd.deps, machine.pixelCriteria(),
-                                     options);
+    const auto oracle =
+        computeSlice(records, fwd.cfgs, fwd.deps, criteria, options);
+
+    auto &planned =
+        MetricRegistry::global().counter("slicer.epochs_planned");
+    const uint64_t planned_before = planned.value();
     options.backwardJobs = 4;
-    const auto epoch =
-        computeSliceFromFile(path, fwd.cfgs, fwd.deps,
-                             machine.pixelCriteria(), options);
-    expectIdentical(oracle, epoch, "file epoch slice, no index");
-    std::remove(path.c_str());
+    const auto memory =
+        computeSlice(records, fwd.cfgs, fwd.deps, criteria, options);
+    const auto file = computeSliceFromFile(program.path, fwd.cfgs,
+                                           fwd.deps, criteria, options);
+    EXPECT_EQ(planned.value(), planned_before);
+
+    for (const auto *cold : {&memory, &file}) {
+        expectIdentical(oracle, *cold, "cold query at 4 jobs");
+        EXPECT_EQ(oracle.flatProbes, cold->flatProbes);
+        EXPECT_EQ(oracle.flatResizes, cold->flatResizes);
+    }
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "support/rng.hh"
@@ -18,39 +19,64 @@ namespace {
 
 // ---- SparseByteSet vs a reference model --------------------------------------
 
-class SparseSetModelSweep : public ::testing::TestWithParam<uint64_t>
+/** One random operation workload over the set. */
+struct SetWorkload
+{
+    uint64_t seed;
+    uint64_t window;  ///< Addresses drawn from [0, window).
+    uint64_t maxSize; ///< Range sizes drawn from [1, maxSize].
+    double farChance; ///< Share of ranges moved to a far region.
+    int ops;
+};
+
+class SparseSetModelSweep : public ::testing::TestWithParam<SetWorkload>
 {
 };
 
 TEST_P(SparseSetModelSweep, MatchesReferenceModelUnderRandomOps)
 {
-    Rng rng(GetParam());
+    const SetWorkload &w = GetParam();
+    Rng rng(w.seed);
     SparseByteSet set;
     std::set<uint64_t> model;
+    // Present bytes per 64-byte chunk: the reference chunk count.
+    std::map<uint64_t, int> chunks;
+
+    auto add = [&](uint64_t a) {
+        if (model.insert(a).second)
+            ++chunks[a >> 6];
+    };
+    auto remove = [&](uint64_t a) {
+        if (model.erase(a) == 0)
+            return false;
+        if (--chunks[a >> 6] == 0)
+            chunks.erase(a >> 6);
+        return true;
+    };
 
     // Addresses drawn from a small window so collisions are common, with
     // occasional far-away ranges to exercise chunk churn.
     auto randomRange = [&]() {
-        uint64_t addr = rng.below(512);
-        if (rng.chance(0.1))
+        uint64_t addr = rng.below(w.window);
+        if (rng.chance(w.farChance))
             addr += 0xFFFFF000ull; // chunk-boundary-hostile region
-        const uint64_t size = rng.below(70) + 1;
+        const uint64_t size = rng.below(w.maxSize) + 1;
         return std::make_pair(addr, size);
     };
 
-    for (int step = 0; step < 2000; ++step) {
+    for (int step = 0; step < w.ops; ++step) {
         const auto [addr, size] = randomRange();
         switch (rng.below(4)) {
           case 0: {
             set.insert(addr, size);
             for (uint64_t a = addr; a < addr + size; ++a)
-                model.insert(a);
+                add(a);
             break;
           }
           case 1: {
             set.erase(addr, size);
             for (uint64_t a = addr; a < addr + size; ++a)
-                model.erase(a);
+                remove(a);
             break;
           }
           case 2: {
@@ -64,22 +90,30 @@ TEST_P(SparseSetModelSweep, MatchesReferenceModelUnderRandomOps)
           default: {
             bool expected = false;
             for (uint64_t a = addr; a < addr + size; ++a)
-                expected |= model.erase(a) > 0;
+                expected |= remove(a);
             EXPECT_EQ(set.testAndErase(addr, size), expected)
                 << "step " << step;
             break;
           }
         }
         ASSERT_EQ(set.size(), model.size()) << "step " << step;
+        ASSERT_EQ(set.chunkCount(), chunks.size()) << "step " << step;
     }
 
     // Final sweep: per-byte agreement over the hot window.
-    for (uint64_t a = 0; a < 600; ++a)
+    for (uint64_t a = 0; a < w.window + w.maxSize; ++a)
         EXPECT_EQ(set.contains(a), model.count(a) > 0) << "byte " << a;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SparseSetModelSweep,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SparseSetModelSweep,
+    ::testing::Values(SetWorkload{1, 512, 70, 0.1, 2000},
+                      SetWorkload{2, 512, 70, 0.1, 2000},
+                      SetWorkload{3, 512, 70, 0.1, 2000},
+                      SetWorkload{4, 512, 70, 0.1, 2000},
+                      SetWorkload{5, 512, 70, 0.1, 2000},
+                      // A long slicer-like run over a few hot pages.
+                      SetWorkload{2024, 4096, 16, 0.0, 30000}));
 
 // ---- reverse reader sweep -------------------------------------------------------
 

@@ -369,34 +369,6 @@ TEST_F(BigV2Trace, ReverseReaderMatchesWithAndWithoutPrefetch)
     }
 }
 
-TEST_F(BigV2Trace, RangedReverseReaderMatches)
-{
-    struct { uint64_t first, last; } ranges[] = {
-        {0, records.size()},                       // full file
-        {kTraceIndexBlockRecords - 7,
-         kTraceIndexBlockRecords + 9},             // straddles the boundary
-        {100, 200},                                // interior of block 0
-        {records.size() - 50, records.size()},     // tail
-        {42, 42},                                  // empty
-    };
-    for (const auto &r : ranges) {
-        for (const bool prefetch : {false, true}) {
-            ReverseTraceReader reader(path, r.first, r.last, 1 << 16,
-                                      prefetch);
-            EXPECT_EQ(reader.remaining(), r.last - r.first);
-            Record rec;
-            uint64_t i = r.last;
-            while (reader.next(rec)) {
-                ASSERT_GT(i, r.first);
-                --i;
-                expectSameRecord(records[i], rec,
-                                 static_cast<size_t>(i));
-            }
-            EXPECT_EQ(i, r.first);
-        }
-    }
-}
-
 // ---- decode cache ----------------------------------------------------------
 
 TEST_F(BigV2Trace, DecodeCacheHitsOnRepeatedRange)
@@ -646,22 +618,17 @@ TEST(TraceV2Fuzz, SlicesBitIdenticalAcrossFormats)
                 computeSlice(machine.records(), cfgs, deps,
                              machine.pixelCriteria(), options);
             for (const std::string &path : {v1, v2}) {
-                for (const int jobs : {1, 3}) {
-                    options.backwardJobs = jobs;
-                    const auto from_file = computeSliceFromFile(
-                        path, cfgs, deps, machine.pixelCriteria(),
-                        options);
-                    EXPECT_EQ(oracle.inSlice, from_file.inSlice)
-                        << "seed " << seed << " mode "
-                        << static_cast<int>(mode) << " jobs " << jobs
-                        << " file " << path;
-                    EXPECT_EQ(oracle.sliceInstructions,
-                              from_file.sliceInstructions);
-                    EXPECT_EQ(oracle.instructionsAnalyzed,
-                              from_file.instructionsAnalyzed);
-                    EXPECT_EQ(oracle.criteriaBytesSeeded,
-                              from_file.criteriaBytesSeeded);
-                }
+                const auto from_file = computeSliceFromFile(
+                    path, cfgs, deps, machine.pixelCriteria(), options);
+                EXPECT_EQ(oracle.inSlice, from_file.inSlice)
+                    << "seed " << seed << " mode "
+                    << static_cast<int>(mode) << " file " << path;
+                EXPECT_EQ(oracle.sliceInstructions,
+                          from_file.sliceInstructions);
+                EXPECT_EQ(oracle.instructionsAnalyzed,
+                          from_file.instructionsAnalyzed);
+                EXPECT_EQ(oracle.criteriaBytesSeeded,
+                          from_file.criteriaBytesSeeded);
             }
         }
         std::remove(v1.c_str());

@@ -62,8 +62,7 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: %s <prefix> [--syscalls] [--no-window] [--end N] [--jobs N]\n"
-    "       [--backward-jobs N] [--probes N] [--fail-on-race] [--cdg FILE]\n"
-    "       [--dump-cdg FILE]\n"
+    "       [--probes N] [--fail-on-race] [--cdg FILE] [--dump-cdg FILE]\n"
     "       [--metrics-json FILE]\n"
     "\n"
     "  --syscalls            verify the syscall-criteria slice instead of\n"
@@ -71,8 +70,6 @@ constexpr char kUsage[] =
     "  --no-window           ignore the metadata load-complete window\n"
     "  --end N               analyze records [0, N) regardless of metadata\n"
     "  --jobs N              forward-pass worker threads; 0 = all cores\n"
-    "  --backward-jobs N     backward-pass worker threads; >1 verifies the\n"
-    "                        epoch-parallel slicer end to end\n"
     "  --probes N            drop-one minimality probes (default 2)\n"
     "  --fail-on-race        exit nonzero when data races are detected\n"
     "  --cdg FILE            audit this control-dependence map instead of\n"
@@ -254,10 +251,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[a], "--jobs")) {
             slice_options.jobs = static_cast<int>(parseCount(
                 "--jobs", need_value("--jobs"), 1u << 16));
-        } else if (!std::strcmp(argv[a], "--backward-jobs")) {
-            slice_options.backwardJobs = static_cast<int>(
-                parseCount("--backward-jobs",
-                           need_value("--backward-jobs"), 1u << 16));
         } else if (!std::strcmp(argv[a], "--probes")) {
             probes = static_cast<size_t>(parseCount(
                 "--probes", need_value("--probes"), 1u << 20));

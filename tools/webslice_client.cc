@@ -25,7 +25,8 @@
  *   pixel                       pixel-buffer criteria, metadata window
  *   syscalls:no-window          syscall criteria, whole trace
  *   pixel:end=100000            window capped at record 100000
- *   pixel:backward-jobs=4       epoch-parallel backward pass, 4 threads
+ *   pixel:backward-jobs=4       replay the cached epoch plan on 4
+ *                               threads (cold queries walk sequentially)
  *   pixel:sleep=250             hold the query 250 ms at run start (a
  *                               failover-testing hook; maps to the
  *                               protocol's debug_sleep_ms)

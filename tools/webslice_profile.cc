@@ -61,17 +61,13 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: %s <prefix> [--syscalls] [--no-window] [--top N] [--jobs N]\n"
-    "       [--backward-jobs N] [--metrics-json FILE] [--progress]\n"
-    "       [--verify] [--static-compare]\n"
+    "       [--metrics-json FILE] [--progress] [--verify] [--static-compare]\n"
     "\n"
     "  --syscalls            slice on syscall-read values instead of pixel\n"
     "                        buffers\n"
     "  --no-window           ignore the metadata load-complete window\n"
     "  --top N               show the N hottest functions (default 12)\n"
     "  --jobs N              forward-pass worker threads; 0 = all cores\n"
-    "  --backward-jobs N     backward-pass worker threads; 1 = sequential\n"
-    "                        oracle, 0 = all cores (epoch-parallel slicer,\n"
-    "                        bit-identical output)\n"
     "  --metrics-json FILE   write the machine-readable run report\n"
     "                        (FILE of '-' writes it to stdout and moves\n"
     "                        the human-readable report to stderr)\n"
@@ -184,10 +180,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[a], "--jobs")) {
             options.jobs = static_cast<int>(parseCount(
                 "--jobs", need_value("--jobs"), 1u << 16));
-        } else if (!std::strcmp(argv[a], "--backward-jobs")) {
-            options.backwardJobs = static_cast<int>(
-                parseCount("--backward-jobs",
-                           need_value("--backward-jobs"), 1u << 16));
         } else if (!std::strcmp(argv[a], "--metrics-json")) {
             metrics_json = need_value("--metrics-json");
         } else if (!std::strcmp(argv[a], "--progress")) {

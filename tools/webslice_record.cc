@@ -100,11 +100,11 @@ main(int argc, char **argv)
 
     const std::string prefix = argv[2];
     {
-        // Write through TraceWriter with the block index enabled so the
-        // epoch-parallel slicer can plan equal-work epochs and seek
-        // straight to epoch starts without scanning the file. Atomic
-        // publication (temp file + fsync + rename) keeps a crashed
-        // recording from leaving a half-written <prefix>.trc behind.
+        // Write through TraceWriter with the block index enabled, so
+        // readers get per-block work counts without scanning the file.
+        // Atomic publication (temp file + fsync + rename) keeps a
+        // crashed recording from leaving a half-written <prefix>.trc
+        // behind.
         trace::TraceWriter writer(prefix + ".trc", /*block_index=*/true,
                                   format, /*atomic=*/true);
         for (const auto &rec : run.records())

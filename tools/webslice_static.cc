@@ -3,8 +3,8 @@
  * webslice-static: static dependence analysis over recorded artifacts.
  *
  *   webslice-static <prefix> [--criteria pixel|syscalls] [--no-window]
- *                   [--end N] [--jobs N] [--backward-jobs N]
- *                   [--dump-pdg FILE] [--metrics-json FILE] [--progress]
+ *                   [--end N] [--jobs N] [--dump-pdg FILE]
+ *                   [--metrics-json FILE] [--progress]
  *
  * Reads <prefix>.trc/.sym/.crit/.meta, builds the forward-pass CFGs and
  * control dependences, then runs BOTH slicers over the same analyzed
@@ -55,8 +55,8 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: %s <prefix> [--criteria pixel|syscalls] [--no-window]\n"
-    "       [--end N] [--jobs N] [--backward-jobs N] [--dump-pdg FILE]\n"
-    "       [--metrics-json FILE] [--progress]\n"
+    "       [--end N] [--jobs N] [--dump-pdg FILE] [--metrics-json FILE]\n"
+    "       [--progress]\n"
     "\n"
     "  --criteria MODE       slicing criteria: 'pixel' (pixel buffers,\n"
     "                        the default) or 'syscalls'\n"
@@ -64,7 +64,6 @@ constexpr char kUsage[] =
     "  --end N               analyze only records [0, N) (after the\n"
     "                        window clamp)\n"
     "  --jobs N              forward-pass worker threads; 0 = all cores\n"
-    "  --backward-jobs N     dynamic backward-pass worker threads\n"
     "  --dump-pdg FILE       write the static PDG node table\n"
     "  --metrics-json FILE   write the machine-readable run report\n"
     "                        (schema webslice-static-v1; FILE of '-'\n"
@@ -249,10 +248,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[a], "--jobs")) {
             options.jobs = static_cast<int>(parseCount(
                 "--jobs", need_value("--jobs"), 1u << 16));
-        } else if (!std::strcmp(argv[a], "--backward-jobs")) {
-            options.backwardJobs = static_cast<int>(
-                parseCount("--backward-jobs",
-                           need_value("--backward-jobs"), 1u << 16));
         } else if (!std::strcmp(argv[a], "--dump-pdg")) {
             dump_pdg = need_value("--dump-pdg");
         } else if (!std::strcmp(argv[a], "--metrics-json")) {
