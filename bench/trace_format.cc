@@ -10,10 +10,9 @@
  *  - on-disk bytes and the v1:v2 compression ratio (CI asserts >= 4x);
  *  - write (encode) wall time;
  *  - cold full-file decode wall time (loadTrace);
- *  - cold and warm single-record seek latency (loadTraceRange through
- *    the block-decode cache);
- *  - backward-slice wall time from the file (computeSliceFromFile),
- *    with the slice asserted bit-identical across formats.
+ *  - backward-slice wall time from the file (computeSliceFromFile,
+ *    streamed back to front through the block reader), with the slice
+ *    asserted bit-identical across formats.
  *
  * Results land in BENCH_trace.json (webslice-metrics-v1 schema) for
  * CI's trend tracking.
@@ -44,8 +43,6 @@ struct FormatSample
     uint64_t bytes = 0;
     double writeSeconds = 0.0;
     double coldLoadSeconds = 0.0;
-    double coldSeekSeconds = 0.0;
-    double warmSeekSeconds = 0.0;
     double sliceSeconds = 0.0;
 };
 
@@ -73,12 +70,9 @@ fieldsJson(const FormatSample &s)
                   "{\"bytes\": %llu, "
                   "\"write_seconds\": %.6f, "
                   "\"cold_load_seconds\": %.6f, "
-                  "\"cold_seek_seconds\": %.6f, "
-                  "\"warm_seek_seconds\": %.6f, "
                   "\"slice_seconds\": %.6f}",
                   static_cast<unsigned long long>(s.bytes),
-                  s.writeSeconds, s.coldLoadSeconds, s.coldSeekSeconds,
-                  s.warmSeekSeconds, s.sliceSeconds);
+                  s.writeSeconds, s.coldLoadSeconds, s.sliceSeconds);
     return buf;
 }
 
@@ -160,22 +154,6 @@ main(int argc, char **argv)
         });
     }
 
-    // ---- seek latency ----------------------------------------------------
-    // One record from the middle of the file: v1 seeks natively, v2
-    // decodes (cold) or reuses (warm) the containing block.
-    const uint64_t mid = count / 2;
-    for (FormatSample *s : {&v1, &v2}) {
-        s->coldSeekSeconds = bestOf(reps, [&] {
-            trace::TraceDecodeCache::global().clear();
-            (void)trace::loadTraceRange(s->path, mid, 1);
-        });
-        trace::TraceDecodeCache::global().clear();
-        (void)trace::loadTraceRange(s->path, mid, 1); // prime
-        s->warmSeekSeconds = bestOf(reps, [&] {
-            (void)trace::loadTraceRange(s->path, mid, 1);
-        });
-    }
-
     // ---- slice from file -------------------------------------------------
     const slicer::SlicerOptions options =
         bench::windowedOptions(profiled.run);
@@ -209,12 +187,6 @@ main(int argc, char **argv)
     table.addRow({"cold full decode s",
                   format("%.3f", v1.coldLoadSeconds),
                   format("%.3f", v2.coldLoadSeconds)});
-    table.addRow({"cold seek ms",
-                  format("%.3f", v1.coldSeekSeconds * 1e3),
-                  format("%.3f", v2.coldSeekSeconds * 1e3)});
-    table.addRow({"warm seek ms",
-                  format("%.3f", v1.warmSeekSeconds * 1e3),
-                  format("%.3f", v2.warmSeekSeconds * 1e3)});
     table.addRow({"slice from file s",
                   format("%.3f", v1.sliceSeconds),
                   format("%.3f", v2.sliceSeconds)});

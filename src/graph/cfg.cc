@@ -862,7 +862,7 @@ CfgSet
 buildCfgsFromFile(const std::string &path,
                   const trace::SymbolTable &symtab, int jobs)
 {
-    trace::ForwardTraceReader reader(path);
+    trace::TraceReader reader(path, trace::TraceReader::Direction::Forward);
     Record rec;
     if (jobs == 1) {
         CfgBuilder builder(symtab);

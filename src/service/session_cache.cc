@@ -74,8 +74,8 @@ SessionCache::SessionCache(uint64_t byte_budget, int forward_jobs)
 {
     counters_.byteBudget = byte_budget;
     // The columnar trace decode cache shares the --cache-bytes budget
-    // rather than adding its own: a quarter goes to decoded v2 blocks
-    // (ranged reads, epoch transcodes), the rest stays with sessions.
+    // rather than adding its own: a quarter goes to decoded v2 blocks,
+    // the rest stays with sessions.
     trace::TraceDecodeCache::global().setBudget(byte_budget / 4);
 }
 

@@ -389,7 +389,7 @@ computeSliceFromFile(const std::string &path, const graph::CfgSet &cfgs,
         }
         registry.counter("slicer.plan_misses").add(1);
     }
-    trace::ReverseTraceReader reader(path);
+    trace::TraceReader reader(path, trace::TraceReader::Direction::Backward);
     BackwardPass pass(cfgs, deps, criteria, options,
                       static_cast<size_t>(reader.count()));
     Record rec;

@@ -331,9 +331,11 @@ V2TraceFile::V2TraceFile(const std::string &path) : path_(path)
              "bad trace magic in ", path);
 
     // The index is the file's tail; its location pins every size check.
+    // Counts read from the file are bounded by the bytes present before
+    // anything is multiplied, so no crafted index can wrap a check.
     V2IndexHeader index_header;
     fatal_if(header.indexOffset < sizeof(V2Header) ||
-             header.indexOffset + sizeof(V2IndexHeader) > file_bytes,
+             header.indexOffset > file_bytes - sizeof(V2IndexHeader),
              "corrupt trace block index in ", path,
              ": index offset ", header.indexOffset,
              " outside the file (", file_bytes, " bytes)");
@@ -348,18 +350,20 @@ V2TraceFile::V2TraceFile(const std::string &path) : path_(path)
              "corrupt trace block index in ", path,
              ": zero records per block");
     const uint64_t blocks =
-        (header.recordCount + index_header.blockRecords - 1) /
-        index_header.blockRecords;
+        header.recordCount / index_header.blockRecords +
+        (header.recordCount % index_header.blockRecords != 0 ? 1 : 0);
     fatal_if(index_header.blockCount != blocks,
              "corrupt trace block index in ", path, ": index claims ",
              index_header.blockCount, " blocks, trace geometry implies ",
              blocks);
-    const uint64_t index_end = header.indexOffset +
-                               sizeof(V2IndexHeader) +
-                               blocks * sizeof(V2BlockEntry);
-    fatal_if(index_end != file_bytes, "corrupt trace file ", path,
-             ": file ends at offset ", file_bytes,
-             ", index geometry implies ", index_end);
+    const uint64_t entry_bytes =
+        file_bytes - header.indexOffset - sizeof(V2IndexHeader);
+    fatal_if(entry_bytes % sizeof(V2BlockEntry) != 0 ||
+             entry_bytes / sizeof(V2BlockEntry) != blocks,
+             "corrupt trace file ", path, ": file ends at offset ",
+             file_bytes, ", leaving ", entry_bytes,
+             " bytes of block index entries for ", blocks, " blocks of ",
+             sizeof(V2BlockEntry), " bytes each");
 
     index_.recordCount = header.recordCount;
     index_.blockRecords = index_header.blockRecords;

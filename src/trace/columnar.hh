@@ -21,13 +21,14 @@
  * LZ codec (support/lz.hh). The block index (offsets, sizes, per-block
  * executed/pseudo counts, checkpoints) lives at the end of the file and
  * is located via the header, subsuming the v1 WEBTIDX1 footer: the
- * per-block counts and the ranged and reverse readers' seeks both come
- * straight out of it.
+ * per-block counts and the block reader's seeks both come straight out
+ * of it.
  *
- * Decoded blocks are cached in a process-wide, byte-budgeted LRU
- * (TraceDecodeCache) shared by ranged reads, the streaming readers, and
- * the service (which folds the budget into --cache-bytes), so readers
- * that revisit a block decode it once.
+ * The block reader (TraceReader, trace/trace_file.hh) fetches decoded
+ * blocks through a process-wide, byte-budgeted LRU (TraceDecodeCache)
+ * whose budget the service folds into --cache-bytes, so readers that
+ * revisit a block decode it once. Whole-file reads (loadTrace,
+ * MappedTrace) decode in order and bypass it.
  *
  * File layout:
  *   V2Header  { "WEBTRC2\0", recordCount, indexOffset }
@@ -181,8 +182,7 @@ struct V2Index
 /**
  * An open v2 trace file: header + index parsed and validated up front,
  * per-block decode on demand. Block reads use pread, so concurrent
- * decodeBlock calls from the epoch slicer's worker threads are safe on
- * one shared instance.
+ * decodeBlock calls on one shared instance are safe.
  */
 class V2TraceFile
 {

@@ -15,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -840,61 +844,55 @@ struct BigSavedProgram
     ~BigSavedProgram() { std::remove(path.c_str()); }
 };
 
-TEST(TraceBlockIndex, RoundTripsThroughWriterAndLoader)
+TEST(TraceIndexFooter, RoundTripsThroughWriterAndLoader)
 {
     const BigSavedProgram program;
     const auto &records = program.machine.records();
 
-    const auto index = trace::loadTraceBlockIndex(program.path);
-    ASSERT_TRUE(index.present());
-    EXPECT_EQ(index.blockRecords, trace::kTraceIndexBlockRecords);
-    const size_t expect_blocks =
+    // Parse the WEBTIDX1 footer straight from the file's bytes: magic,
+    // records per block, block count, then one (executed, pseudo) pair
+    // of u32 counts per block.
+    std::ifstream in(program.path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    const size_t footer = 16 + records.size() * sizeof(trace::Record);
+    ASSERT_GE(bytes.size(), footer + 24);
+    EXPECT_EQ(bytes.substr(footer, 8), std::string("WEBTIDX1", 8));
+    const auto u64_at = [&](size_t offset) {
+        uint64_t v;
+        std::memcpy(&v, bytes.data() + offset, sizeof(v));
+        return v;
+    };
+    const auto u32_at = [&](size_t offset) {
+        uint32_t v;
+        std::memcpy(&v, bytes.data() + offset, sizeof(v));
+        return v;
+    };
+    EXPECT_EQ(u64_at(footer + 8), trace::kTraceIndexBlockRecords);
+    const size_t blocks =
         (records.size() + trace::kTraceIndexBlockRecords - 1) /
         trace::kTraceIndexBlockRecords;
-    ASSERT_EQ(index.blockCount(), expect_blocks);
-    ASSERT_GE(index.blockCount(), 2u);
+    ASSERT_GE(blocks, 2u);
+    ASSERT_EQ(u64_at(footer + 16), blocks);
+    ASSERT_EQ(bytes.size(), footer + 24 + 8 * blocks);
 
-    uint64_t instructions = 0;
-    uint64_t pseudos = 0;
-    for (size_t b = 0; b < index.blockCount(); ++b) {
-        instructions += index.instructions[b];
-        pseudos += index.pseudoRecords[b];
+    for (size_t b = 0; b < blocks; ++b) {
+        uint32_t instructions = 0;
+        uint32_t pseudos = 0;
+        const size_t end = std::min(records.size(),
+                                    (b + 1) * trace::kTraceIndexBlockRecords);
+        for (size_t i = b * trace::kTraceIndexBlockRecords; i < end; ++i)
+            ++(records[i].isPseudo() ? pseudos : instructions);
+        EXPECT_EQ(u32_at(footer + 24 + 8 * b), instructions) << "block " << b;
+        EXPECT_EQ(u32_at(footer + 28 + 8 * b), pseudos) << "block " << b;
     }
-    uint64_t expect_instructions = 0;
-    for (const auto &rec : records)
-        expect_instructions += rec.isPseudo() ? 0 : 1;
-    EXPECT_EQ(instructions, expect_instructions);
-    EXPECT_EQ(pseudos, records.size() - expect_instructions);
 
-    // The mmap view exposes the same index.
+    // Every reader accepts the footer.
     trace::MappedTrace mapped(program.path);
-    ASSERT_TRUE(mapped.blockIndex().present());
-    EXPECT_EQ(mapped.blockIndex().instructions, index.instructions);
+    EXPECT_TRUE(mapped.mapped());
     EXPECT_EQ(mapped.count(), records.size());
     EXPECT_EQ(mapped[0].pc, records[0].pc);
-}
-
-TEST(TraceBlockIndex, LoadTraceRangeReturnsExactWindow)
-{
-    const BigSavedProgram program;
-    const auto &records = program.machine.records();
-
-    const auto window = trace::loadTraceRange(program.path, 1000, 50);
-    ASSERT_EQ(window.size(), 50u);
-    for (size_t i = 0; i < window.size(); ++i) {
-        EXPECT_EQ(window[i].pc, records[1000 + i].pc);
-        EXPECT_EQ(window[i].addr, records[1000 + i].addr);
-    }
-    EXPECT_TRUE(trace::loadTraceRange(program.path, 7, 0).empty());
-}
-
-TEST(TraceBlockIndexDeath, RangeBoundsAreChecked)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const BigSavedProgram program;
-    const auto count = program.machine.records().size();
-    EXPECT_DEATH(trace::loadTraceRange(program.path, count, 1),
-                 "out of bounds");
+    EXPECT_EQ(trace::loadTrace(program.path).size(), records.size());
 }
 
 TEST(EpochSlicer, FileSliceMatchesMemorySlice)

@@ -127,18 +127,74 @@ TEST_F(TraceFaults, TrailingGarbageIsFatal)
                 "trailing garbage in trace file");
 }
 
+/** Every read entry point must reject `path` with exit 1 and `diag`. */
+void
+expectEveryEntryPointRejects(const std::string &path, const std::string &diag)
+{
+    using Direction = trace::TraceReader::Direction;
+    EXPECT_EXIT(trace::loadTrace(path), ::testing::ExitedWithCode(1), diag);
+    EXPECT_EXIT(trace::MappedTrace mapped(path),
+                ::testing::ExitedWithCode(1), diag);
+    EXPECT_EXIT(trace::TraceReader reader(path, Direction::Forward),
+                ::testing::ExitedWithCode(1), diag);
+    EXPECT_EXIT(trace::TraceReader reader(path, Direction::Backward),
+                ::testing::ExitedWithCode(1), diag);
+}
+
 TEST_F(TraceFaults, EveryEntryPointValidates)
 {
-    // The same corrupt file must be rejected by all four access paths,
-    // not just loadTrace.
+    // The same corrupt file must be rejected by every access path, not
+    // just loadTrace.
     const auto path = corrupt(
         "all.trc", bytes_.substr(0, bytes_.size() - sizeof(trace::Record)));
-    EXPECT_EXIT(trace::MappedTrace mapped(path),
-                ::testing::ExitedWithCode(1), "truncated trace file");
-    EXPECT_EXIT(trace::ForwardTraceReader reader(path),
-                ::testing::ExitedWithCode(1), "truncated trace file");
-    EXPECT_EXIT(trace::ReverseTraceReader reader(path),
-                ::testing::ExitedWithCode(1), "truncated trace file");
+    expectEveryEntryPointRejects(path, "truncated trace file");
+}
+
+TEST_F(TraceFaults, CorruptFooterIsFatal)
+{
+    // A WEBTIDX1 footer must match the trace's geometry exactly: one
+    // 8-byte entry per 65,536-record block, here one block.
+    const auto footer = [](uint64_t blocks, size_t entries) {
+        std::string bytes("WEBTIDX1", 8);
+        const uint64_t head[] = {65536, blocks};
+        bytes.append(reinterpret_cast<const char *>(head), sizeof(head));
+        return bytes + std::string(8 * entries, '\0');
+    };
+    expectEveryEntryPointRejects(corrupt("blocks.trc", bytes_ + footer(2, 2)),
+                                 "footer claims 2 blocks");
+    expectEveryEntryPointRejects(corrupt("size.trc", bytes_ + footer(1, 2)),
+                                 "footer occupies 40 bytes, expected 32");
+}
+
+TEST_F(TraceFaults, V1RecordCountCannotWrapTheSizeCheck)
+{
+    // A header plus one record, claiming 2^59 + 1 records: 32 times the
+    // claim wraps to 32 bytes, exactly the payload present.
+    std::string bytes = bytes_.substr(0, 16 + sizeof(trace::Record));
+    const uint64_t claim = (1ull << 59) + 1;
+    bytes.replace(8, sizeof(claim),
+                  reinterpret_cast<const char *>(&claim), sizeof(claim));
+    const auto path = corrupt("wrap_v1.trc", bytes);
+    expectEveryEntryPointRejects(path,
+                                 "truncated trace file .*wrap_v1.trc");
+}
+
+TEST(TraceFaultsV2, BlockCountCannotWrapTheSizeCheck)
+{
+    // A v2 header and an empty index claiming 2^61 blocks of one record
+    // each: 56 bytes per index entry times 2^61 wraps to 0, exactly the
+    // entry bytes present.
+    const auto path = tempPath("wrap_v2.trc");
+    const uint64_t huge = 1ull << 61;
+    std::string bytes("WEBTRC2\0", 8);
+    const uint64_t header[] = {huge, 24}; // recordCount, indexOffset
+    const uint64_t index[] = {1, huge};   // blockRecords, blockCount
+    bytes.append(reinterpret_cast<const char *>(header), sizeof(header));
+    bytes.append("WEBTIDX2", 8);
+    bytes.append(reinterpret_cast<const char *>(index), sizeof(index));
+    writeBytes(path, bytes);
+    expectEveryEntryPointRejects(path, "corrupt trace file .*wrap_v2.trc");
+    std::remove(path.c_str());
 }
 
 TEST_F(TraceFaults, IntactFileStillLoads)

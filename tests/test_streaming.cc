@@ -1,9 +1,10 @@
 /**
  * @file
- * Equivalence tests for the file-streaming profiler paths: the forward
- * reader, buildCfgsFromFile vs buildCfgs, and computeSliceFromFile vs
- * computeSlice must agree bit-for-bit, so huge traces can be profiled in
- * bounded memory without changing any result.
+ * Equivalence tests for the file-streaming profiler paths:
+ * buildCfgsFromFile vs buildCfgs, computeSliceFromFile vs computeSlice,
+ * and the MappedTrace view vs the loaded trace must agree bit-for-bit,
+ * so huge traces can be profiled in bounded memory without changing any
+ * result.
  */
 
 #include <gtest/gtest.h>
@@ -71,21 +72,6 @@ struct SavedProgram
 
     ~SavedProgram() { std::remove(path.c_str()); }
 };
-
-TEST(Streaming, ForwardReaderYieldsExactOrder)
-{
-    SavedProgram program;
-    trace::ForwardTraceReader reader(program.path, /*block=*/7);
-    trace::Record rec;
-    size_t index = 0;
-    while (reader.next(rec)) {
-        ASSERT_LT(index, program.machine.records().size());
-        EXPECT_EQ(rec.pc, program.machine.records()[index].pc);
-        EXPECT_EQ(rec.addr, program.machine.records()[index].addr);
-        ++index;
-    }
-    EXPECT_EQ(index, program.machine.records().size());
-}
 
 TEST(Streaming, FileCfgsMatchInMemoryCfgs)
 {
@@ -183,60 +169,6 @@ TEST(MappedTrace, DrivesTheFullPipeline)
 
     EXPECT_EQ(cfgs.funcOf, ref_cfgs.funcOf);
     EXPECT_EQ(mapped_slice.inSlice, ref_slice.inSlice);
-}
-
-TEST(Streaming, PrefetchingReadersMatchSynchronousReaders)
-{
-    // The double-buffered background-IO mode must yield exactly the
-    // same record sequence as the synchronous mode, in both directions,
-    // including block sizes that do not divide the trace length.
-    SavedProgram program;
-    for (const size_t block : {1ul, 7ul, 64ul, 1ul << 16}) {
-        trace::ForwardTraceReader sync_fwd(program.path, block,
-                                           /*prefetch=*/false);
-        trace::ForwardTraceReader pre_fwd(program.path, block,
-                                          /*prefetch=*/true);
-        trace::Record a, b;
-        while (true) {
-            const bool more_sync = sync_fwd.next(a);
-            const bool more_pre = pre_fwd.next(b);
-            ASSERT_EQ(more_sync, more_pre) << "block=" << block;
-            if (!more_sync)
-                break;
-            ASSERT_EQ(a.pc, b.pc);
-            ASSERT_EQ(a.addr, b.addr);
-        }
-
-        trace::ReverseTraceReader sync_rev(program.path, block,
-                                           /*prefetch=*/false);
-        trace::ReverseTraceReader pre_rev(program.path, block,
-                                          /*prefetch=*/true);
-        while (true) {
-            const bool more_sync = sync_rev.next(a);
-            const bool more_pre = pre_rev.next(b);
-            ASSERT_EQ(more_sync, more_pre) << "block=" << block;
-            if (!more_sync)
-                break;
-            ASSERT_EQ(a.pc, b.pc);
-            ASSERT_EQ(a.addr, b.addr);
-        }
-    }
-}
-
-TEST(Streaming, ReverseReaderReportsRemaining)
-{
-    SavedProgram program;
-    trace::ReverseTraceReader reader(program.path, /*block=*/16);
-    const uint64_t total = reader.count();
-    EXPECT_EQ(reader.remaining(), total);
-    trace::Record rec;
-    uint64_t yielded = 0;
-    while (reader.next(rec)) {
-        ++yielded;
-        EXPECT_EQ(reader.remaining(), total - yielded);
-    }
-    EXPECT_EQ(yielded, total);
-    EXPECT_FALSE(reader.next(rec)); // stays exhausted
 }
 
 TEST(StreamingDeath, FeedMustDescend)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the trace layer: record layout, file round-trips, the
- * reverse block reader, the symbol table, and criteria files.
+ * symbol table, and criteria files. The block reader is swept in
+ * test_trace_properties.cc.
  */
 
 #include <gtest/gtest.h>
@@ -114,56 +115,6 @@ TEST(TraceFile, SaveTraceHelper)
     const auto loaded = loadTrace(path);
     ASSERT_EQ(loaded.size(), 77u);
     EXPECT_EQ(loaded[76].addr, records[76].addr);
-    std::remove(path.c_str());
-}
-
-TEST(ReverseTraceReader, YieldsRecordsBackwards)
-{
-    const std::string path = tempPath("reverse.trc");
-    std::vector<Record> records;
-    for (size_t i = 0; i < 333; ++i)
-        records.push_back(makeRecord(i));
-    saveTrace(path, records);
-
-    // Block size smaller than the trace forces multiple block loads.
-    ReverseTraceReader reader(path, 64);
-    EXPECT_EQ(reader.count(), 333u);
-    Record rec;
-    size_t expected = 333;
-    while (reader.next(rec)) {
-        --expected;
-        EXPECT_EQ(rec.pc, records[expected].pc);
-        EXPECT_EQ(rec.addr, records[expected].addr);
-    }
-    EXPECT_EQ(expected, 0u);
-    EXPECT_EQ(reader.remaining(), 0u);
-    EXPECT_FALSE(reader.next(rec));
-    std::remove(path.c_str());
-}
-
-TEST(ReverseTraceReader, EmptyFile)
-{
-    const std::string path = tempPath("reverse_empty.trc");
-    saveTrace(path, {});
-    ReverseTraceReader reader(path);
-    Record rec;
-    EXPECT_FALSE(reader.next(rec));
-    std::remove(path.c_str());
-}
-
-TEST(ReverseTraceReader, BlockExactlyDivides)
-{
-    const std::string path = tempPath("reverse_exact.trc");
-    std::vector<Record> records;
-    for (size_t i = 0; i < 128; ++i)
-        records.push_back(makeRecord(i));
-    saveTrace(path, records);
-    ReverseTraceReader reader(path, 32);
-    Record rec;
-    size_t count = 0;
-    while (reader.next(rec))
-        ++count;
-    EXPECT_EQ(count, 128u);
     std::remove(path.c_str());
 }
 

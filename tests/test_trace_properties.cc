@@ -2,13 +2,18 @@
  * @file
  * Property tests of the trace-layer data structures against reference
  * models: SparseByteSet vs std::set<uint64_t> under random operation
- * sequences, and the reverse block reader across a block-size sweep.
+ * sequences, and the block reader, in both directions over every file
+ * shape, against the records written.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "support/rng.hh"
 #include "support/sparse_byte_set.hh"
@@ -115,50 +120,112 @@ INSTANTIATE_TEST_SUITE_P(
                       // A long slicer-like run over a few hot pages.
                       SetWorkload{2024, 4096, 16, 0.0, 30000}));
 
-// ---- reverse reader sweep -------------------------------------------------------
+// ---- block reader sweep ----------------------------------------------------
 
-class ReverseReaderSweep
-    : public ::testing::TestWithParam<std::pair<size_t, size_t>>
+/** The on-disk shapes the block reader must stream. */
+enum class FileShape
+{
+    V1,       ///< Flat records, no footer.
+    V1Footer, ///< Flat records plus the WEBTIDX1 per-block counts.
+    V2,       ///< Columnar blocks.
+};
+
+using Direction = trace::TraceReader::Direction;
+using ReaderCase = std::tuple<Direction, FileShape, size_t>;
+
+/** A record whose every field varies with its index. */
+trace::Record
+sweepRecord(size_t i)
+{
+    trace::Record rec;
+    rec.pc = static_cast<trace::Pc>(0x1000 + 4 * (i % 1000));
+    rec.addr = (i % 7 == 0) ? 0x7fff00000000ull + i * 4096
+                            : 0x10000000ull + i;
+    rec.aux = static_cast<uint32_t>(i * 2654435761u);
+    rec.tid = static_cast<trace::ThreadId>(i % 3);
+    rec.kind = static_cast<trace::RecordKind>(i % 12);
+    rec.flags = static_cast<uint8_t>(i % 4);
+    rec.rr0 = (i % 5 == 0) ? trace::kNoReg
+                           : static_cast<trace::RegId>(i % 64);
+    rec.rr1 = (i % 11 == 0) ? static_cast<trace::RegId>((i + 7) % 64)
+                            : trace::kNoReg;
+    rec.rr2 = (i % 31 == 0) ? static_cast<trace::RegId>((i + 3) % 64)
+                            : trace::kNoReg;
+    rec.rw = static_cast<trace::RegId>((i + 1) % 64);
+    return rec;
+}
+
+/** "Backward_V1Footer_65537" and the like. */
+std::string
+readerCaseName(const ::testing::TestParamInfo<ReaderCase> &info)
+{
+    static const char *const kShapes[] = {"V1", "V1Footer", "V2"};
+    const auto [direction, shape, count] = info.param;
+    return std::string(direction == Direction::Forward ? "Forward"
+                                                       : "Backward") +
+           "_" + kShapes[static_cast<int>(shape)] + "_" +
+           std::to_string(count);
+}
+
+class ReaderSweep : public ::testing::TestWithParam<ReaderCase>
 {
 };
 
-TEST_P(ReverseReaderSweep, YieldsExactReverseOrder)
+TEST_P(ReaderSweep, YieldsEveryRecordInOrder)
 {
-    const auto [record_count, block_size] = GetParam();
-    const std::string path = std::string(::testing::TempDir()) +
-                             "sweep_" + std::to_string(record_count) +
-                             "_" + std::to_string(block_size) + ".trc";
-
-    std::vector<trace::Record> records(record_count);
-    for (size_t i = 0; i < record_count; ++i) {
-        records[i].pc = static_cast<trace::Pc>(i * 4 + 0x1000);
-        records[i].addr = i * 13;
+    const auto [direction, shape, count] = GetParam();
+    const std::string path =
+        std::string(::testing::TempDir()) + "reader_sweep_" +
+        std::to_string(static_cast<int>(direction)) + "_" +
+        std::to_string(static_cast<int>(shape)) + "_" +
+        std::to_string(count) + ".trc";
+    std::vector<trace::Record> records;
+    {
+        trace::TraceWriter writer(path, shape == FileShape::V1Footer,
+                                  shape == FileShape::V2
+                                      ? trace::TraceFormat::V2
+                                      : trace::TraceFormat::V1);
+        for (size_t i = 0; i < count; ++i) {
+            records.push_back(sweepRecord(i));
+            writer.append(records.back());
+        }
     }
-    trace::saveTrace(path, records);
 
-    trace::ReverseTraceReader reader(path, block_size);
+    trace::TraceReader reader(path, direction);
+    EXPECT_EQ(reader.count(), count);
+    EXPECT_EQ(reader.remaining(), count);
+    const bool forward = direction == Direction::Forward;
     trace::Record rec;
-    size_t expected = record_count;
+    size_t yielded = 0;
     while (reader.next(rec)) {
-        ASSERT_GT(expected, 0u);
-        --expected;
-        ASSERT_EQ(rec.pc, records[expected].pc);
-        ASSERT_EQ(rec.addr, records[expected].addr);
+        ASSERT_LT(yielded, count);
+        const size_t i = forward ? yielded : count - 1 - yielded;
+        const trace::Record &want = records[i];
+        // Field by field: the record's padding is not part of the data.
+        ASSERT_TRUE(rec.addr == want.addr && rec.pc == want.pc &&
+                    rec.aux == want.aux && rec.tid == want.tid &&
+                    rec.kind == want.kind && rec.flags == want.flags &&
+                    rec.rr0 == want.rr0 && rec.rr1 == want.rr1 &&
+                    rec.rr2 == want.rr2 && rec.rw == want.rw)
+            << "record " << i << " differs";
+        ++yielded;
+        ASSERT_EQ(reader.remaining(), count - yielded);
     }
-    EXPECT_EQ(expected, 0u);
+    EXPECT_EQ(yielded, count);
+    EXPECT_FALSE(reader.next(rec)); // stays exhausted
     std::remove(path.c_str());
 }
 
+// Around the 65,536-record block grid both formats read by.
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, ReverseReaderSweep,
-    ::testing::Values(std::make_pair<size_t, size_t>(0, 16),
-                      std::make_pair<size_t, size_t>(1, 1),
-                      std::make_pair<size_t, size_t>(5, 16),
-                      std::make_pair<size_t, size_t>(16, 16),
-                      std::make_pair<size_t, size_t>(17, 16),
-                      std::make_pair<size_t, size_t>(1000, 7),
-                      std::make_pair<size_t, size_t>(1000, 1024),
-                      std::make_pair<size_t, size_t>(4096, 4096)));
+    Shapes, ReaderSweep,
+    ::testing::Combine(
+        ::testing::Values(Direction::Forward, Direction::Backward),
+        ::testing::Values(FileShape::V1, FileShape::V1Footer,
+                          FileShape::V2),
+        ::testing::Values<size_t>(0, 1, 5, 65535, 65536, 65537,
+                                  2 * 65536 + 4321)),
+    readerCaseName);
 
 // ---- RNG statistical sanity --------------------------------------------------------
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the columnar compressed trace format (v2) and its companions:
- * the LZ block codec, every reader's transparent v2 decode, the
+ * the LZ block codec, the whole-file readers' transparent v2 decode
+ * (the block reader is swept in test_trace_properties.cc), the
  * process-wide decode cache, the checkpointed value-log sidecar, and —
  * the contract the whole format hangs on — bit-identical slices from v1
  * and v2 files of the same recording.
@@ -260,7 +261,7 @@ TEST(TraceV1, AtomicWriterWorksToo)
     std::remove(path.c_str());
 }
 
-// ---- ranged loads, block index, mmap view ----------------------------------
+// ---- mmap view --------------------------------------------------------------
 
 struct BigV2Trace : ::testing::Test
 {
@@ -279,51 +280,6 @@ struct BigV2Trace : ::testing::Test
     void TearDown() override { std::remove(path.c_str()); }
 };
 
-TEST_F(BigV2Trace, RangedLoadsMatchFullDecode)
-{
-    struct { uint64_t first, count; } ranges[] = {
-        {0, 1},                                  // first record
-        {records.size() - 1, 1},                 // last record
-        {0, records.size()},                     // everything
-        {kTraceIndexBlockRecords - 5, 10},       // straddles the boundary
-        {kTraceIndexBlockRecords, 100},          // block-aligned start
-        {17, 4000},                              // interior of block 0
-        {records.size() - 123, 123},             // tail of the short block
-        {5000, 0},                               // empty range
-    };
-    for (const auto &r : ranges) {
-        const auto got = loadTraceRange(path, r.first, r.count);
-        ASSERT_EQ(got.size(), r.count);
-        for (uint64_t i = 0; i < r.count; ++i)
-            expectSameRecord(records[r.first + i], got[i],
-                             static_cast<size_t>(r.first + i));
-    }
-}
-
-TEST_F(BigV2Trace, BlockIndexProjectsToV1Shape)
-{
-    // The structural v2 index must serve the epoch planner through the
-    // same TraceBlockIndex the v1 footer fills.
-    const TraceBlockIndex index = loadTraceBlockIndex(path);
-    ASSERT_TRUE(index.present());
-    EXPECT_EQ(index.blockRecords, kTraceIndexBlockRecords);
-    ASSERT_EQ(index.blockCount(), 2u);
-
-    uint32_t instructions[2] = {0, 0};
-    uint32_t pseudo[2] = {0, 0};
-    for (size_t i = 0; i < records.size(); ++i) {
-        const size_t b = i / kTraceIndexBlockRecords;
-        if (records[i].isPseudo())
-            ++pseudo[b];
-        else
-            ++instructions[b];
-    }
-    for (size_t b = 0; b < 2; ++b) {
-        EXPECT_EQ(index.instructions[b], instructions[b]);
-        EXPECT_EQ(index.pseudoRecords[b], pseudo[b]);
-    }
-}
-
 TEST_F(BigV2Trace, MappedTraceDecodesTransparently)
 {
     MappedTrace mapped(path);
@@ -332,55 +288,21 @@ TEST_F(BigV2Trace, MappedTraceDecodesTransparently)
     ASSERT_EQ(mapped.count(), records.size());
     for (size_t i = 0; i < records.size(); ++i)
         expectSameRecord(records[i], mapped[i], i);
-    EXPECT_TRUE(mapped.blockIndex().present());
-}
-
-TEST_F(BigV2Trace, ForwardReaderMatchesWithAndWithoutPrefetch)
-{
-    for (const bool prefetch : {false, true}) {
-        ForwardTraceReader reader(path, 1 << 16, prefetch);
-        EXPECT_EQ(reader.count(), records.size());
-        Record rec;
-        size_t i = 0;
-        while (reader.next(rec)) {
-            ASSERT_LT(i, records.size());
-            expectSameRecord(records[i], rec, i);
-            ++i;
-        }
-        EXPECT_EQ(i, records.size());
-        EXPECT_FALSE(reader.next(rec));
-    }
-}
-
-TEST_F(BigV2Trace, ReverseReaderMatchesWithAndWithoutPrefetch)
-{
-    for (const bool prefetch : {false, true}) {
-        ReverseTraceReader reader(path, 1 << 16, prefetch);
-        EXPECT_EQ(reader.count(), records.size());
-        Record rec;
-        size_t i = records.size();
-        while (reader.next(rec)) {
-            ASSERT_GT(i, 0u);
-            --i;
-            expectSameRecord(records[i], rec, i);
-        }
-        EXPECT_EQ(i, 0u);
-        EXPECT_EQ(reader.remaining(), 0u);
-    }
 }
 
 // ---- decode cache ----------------------------------------------------------
 
-TEST_F(BigV2Trace, DecodeCacheHitsOnRepeatedRange)
+TEST_F(BigV2Trace, DecodeCacheHitsOnRepeatedBlock)
 {
     auto &cache = TraceDecodeCache::global();
     cache.clear();
     const auto before = cache.stats();
     const uint64_t decoded_before = counterValue("trace.blocks_decoded");
 
-    const auto first = loadTraceRange(path, 10, 20);
-    const auto again = loadTraceRange(path, 10, 20);
-    expectSameRecords(first, again);
+    const V2TraceFile file(path);
+    const auto first = cache.acquire(file, 0);
+    const auto again = cache.acquire(file, 0);
+    expectSameRecords(*first, *again);
 
     const auto after = cache.stats();
     EXPECT_GE(after.misses, before.misses + 1); // first decode missed
@@ -396,19 +318,20 @@ TEST_F(BigV2Trace, DecodeCacheEvictsUnderTinyBudget)
     cache.clear();
     cache.setBudget(sizeof(Record)); // far below one decoded block
 
+    const V2TraceFile file(path);
     const auto evictions_before = cache.stats().evictions;
-    (void)loadTraceRange(path, 0, 1);
-    (void)loadTraceRange(path, kTraceIndexBlockRecords, 1);
+    const auto block0 = cache.acquire(file, 0);
+    (void)cache.acquire(file, 1);
     const auto stats = cache.stats();
     EXPECT_GT(stats.evictions, evictions_before);
     // Over-budget eviction keeps only the newest block: the entry being
     // handed out is never evicted from under its caller.
     EXPECT_LE(stats.entries, 1u);
 
-    // Eviction must not corrupt results handed out before it.
-    const auto got = loadTraceRange(path, 5, 5);
-    for (size_t i = 0; i < got.size(); ++i)
-        expectSameRecord(records[5 + i], got[i], 5 + i);
+    // Eviction must not corrupt a block handed out before it.
+    ASSERT_EQ(block0->size(), kTraceIndexBlockRecords);
+    for (size_t i = 0; i < block0->size(); ++i)
+        expectSameRecord(records[i], (*block0)[i], i);
 
     cache.setBudget(default_budget);
     cache.clear();
@@ -497,11 +420,6 @@ TEST_F(TraceV2Death, CorruptIndexGeometryIsFatal)
              sizeof(corrupt_count));
     io.close();
     EXPECT_DEATH(loadTrace(path), "corrupt trace");
-}
-
-TEST_F(TraceV2Death, RangeBoundsAreChecked)
-{
-    EXPECT_DEATH(loadTraceRange(path, records.size(), 1), "out of bounds");
 }
 
 // ---- slice bit-identity across formats -------------------------------------

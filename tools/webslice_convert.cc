@@ -138,9 +138,10 @@ main(int argc, char **argv)
     // ---- trace ---------------------------------------------------------
     const std::vector<trace::Record> records = trace::loadTrace(in_trace);
     {
-        // Block index on for v1 so the epoch planner keeps its seeks;
-        // the v2 index is structural. Atomic: a crashed conversion
-        // leaves no partial .trc under the output prefix.
+        // The v1 output carries the WEBTIDX1 per-block counts, as
+        // webslice-record writes it; the v2 index is structural.
+        // Atomic: a crashed conversion leaves no partial .trc under the
+        // output prefix.
         trace::TraceWriter writer(out_trace, /*block_index=*/true, to,
                                   /*atomic=*/true);
         for (const auto &rec : records)
