@@ -29,8 +29,8 @@ main()
         "ablation_slicing: contribution of control deps and register "
         "liveness");
 
-    const auto spec = workloads::amazonDesktopSpec();
-    const auto profiled = bench::profileSite(spec);
+    const auto profiled = bench::profileScenario(
+        scenario::builtinScenario("amazon-desktop"));
 
     slicer::SlicerOptions no_control =
         bench::windowedOptions(profiled.run);

@@ -16,13 +16,13 @@ nowSeconds()
 }
 
 ProfiledRun
-profileSite(const workloads::SiteSpec &spec,
-            const slicer::SlicerOptions &options, bool apply_window)
+profileScenario(const scenario::Scenario &sc,
+                const slicer::SlicerOptions &options, bool apply_window)
 {
     ProfiledRun out;
 
     double t0 = nowSeconds();
-    out.run = scenario::runSite(spec);
+    out.run = scenario::runScenario(sc);
     double t1 = nowSeconds();
     out.cfgs = graph::buildCfgs(out.run.records(),
                                 out.run.machine->symtab(), options.jobs);

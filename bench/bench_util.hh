@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared infrastructure for the benchmark harnesses: run a benchmark
- * site, execute the profiler's forward and backward passes, and cache
- * the pieces every table/figure needs.
+ * Shared infrastructure for the benchmark harnesses: run a scenario
+ * (usually a built-in, scenario/builtins.hh), execute the profiler's
+ * forward and backward passes, and cache the pieces every table/figure
+ * needs.
  */
 
 #ifndef WEBSLICE_BENCH_BENCH_UTIL_HH
@@ -17,8 +18,9 @@
 #include "analysis/thread_stats.hh"
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
-#include "slicer/slicer.hh"
+#include "scenario/builtins.hh"
 #include "scenario/run.hh"
+#include "slicer/slicer.hh"
 #include "workloads/sites.hh"
 
 namespace webslice {
@@ -43,14 +45,14 @@ struct ProfiledRun
 };
 
 /**
- * Run one benchmark and both profiler passes (pixel criteria unless
+ * Run one scenario and both profiler passes (pixel criteria unless
  * overridden). When apply_window is true (default), load-only benchmarks
  * are sliced up to the load-complete point, mirroring the paper's trace
  * boundaries.
  */
-ProfiledRun profileSite(const workloads::SiteSpec &spec,
-                        const slicer::SlicerOptions &options = {},
-                        bool apply_window = true);
+ProfiledRun profileScenario(const scenario::Scenario &sc,
+                            const slicer::SlicerOptions &options = {},
+                            bool apply_window = true);
 
 /**
  * Re-slice an already-profiled run with different options (reuses the

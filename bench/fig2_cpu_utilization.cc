@@ -24,8 +24,8 @@ main()
         "fig2_cpu_utilization: Figure 2 reproduction (amazon.com "
         "browsing session)");
 
-    const auto spec = workloads::amazonFigure2Spec();
-    const auto run = scenario::runSite(spec);
+    const auto run = scenario::runScenario(scenario::builtinScenario("fig2"));
+    const auto &spec = run.spec;
     const auto &machine = *run.machine;
 
     const auto &timeline =

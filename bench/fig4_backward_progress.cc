@@ -53,8 +53,10 @@ main()
         "fig4_backward_progress: Figure 4 reproduction (slice% over the "
         "backward pass)");
 
-    for (const auto &spec : workloads::paperBenchmarks()) {
-        const auto profiled = bench::profileSite(spec);
+    for (const char *id : scenario::kPaperBuiltins) {
+        const auto profiled =
+            bench::profileScenario(scenario::builtinScenario(id));
+        const auto &spec = profiled.run.spec;
         const size_t window = bench::analysisEnd(profiled.run);
 
         // Restrict the series to the analysis window.

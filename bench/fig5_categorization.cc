@@ -41,16 +41,16 @@ main()
     header.push_back("paper cov.");
     table.setHeader(header);
 
-    const auto specs = workloads::paperBenchmarks();
     double js_share_bing = 0, js_share_load_min = 100;
-    for (size_t b = 0; b < specs.size(); ++b) {
-        const auto profiled = bench::profileSite(specs[b]);
+    for (size_t b = 0; b < std::size(scenario::kPaperBuiltins); ++b) {
+        const auto profiled = bench::profileScenario(
+            scenario::builtinScenario(scenario::kPaperBuiltins[b]));
         const size_t window = bench::analysisEnd(profiled.run);
         const auto dist = analysis::categorizeUnnecessary(
             profiled.records(), profiled.slice.inSlice, profiled.cfgs,
             profiled.run.machine->symtab(), categorizer, window);
 
-        std::vector<std::string> row = {specs[b].name};
+        std::vector<std::string> row = {profiled.run.spec.name};
         for (const auto &category : order)
             row.push_back(format("%.1f%%", dist.sharePercent(category)));
         row.push_back(format("%.0f%%", dist.coveragePercent()));

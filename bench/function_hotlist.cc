@@ -20,8 +20,10 @@ main()
 {
     bench::printHeader("function_hotlist: per-function slice attribution");
 
-    for (const auto &spec : workloads::paperBenchmarks()) {
-        const auto profiled = bench::profileSite(spec);
+    for (const char *id : scenario::kPaperBuiltins) {
+        const auto profiled =
+            bench::profileScenario(scenario::builtinScenario(id));
+        const auto &spec = profiled.run.spec;
         const size_t window = bench::analysisEnd(profiled.run);
         const auto stats = analysis::computeFunctionStats(
             {profiled.records().data(), window},

@@ -33,8 +33,10 @@ main()
                      "in syscall slice", "payload-bound"});
 
     const auto categorizer = analysis::Categorizer::chromiumDefault();
-    for (const auto &spec : workloads::paperBenchmarks()) {
-        const auto profiled = bench::profileSite(spec);
+    for (const char *id : scenario::kPaperBuiltins) {
+        const auto profiled =
+            bench::profileScenario(scenario::builtinScenario(id));
+        const auto &spec = profiled.run.spec;
         slicer::SlicerOptions sys_options;
         sys_options.mode = slicer::CriteriaMode::Syscalls;
         sys_options = bench::windowedOptions(profiled.run, sys_options);

@@ -2,10 +2,11 @@
  * @file
  * Profiler pipeline scaling sweep.
  *
- *   pipeline_scaling [--site bing|bing-load|amazon|amazon-mobile|maps]
- *                    [--max-jobs N] [--reps N] [--out FILE] [--quick]
+ *   pipeline_scaling [--site <builtin-id>] [--max-jobs N] [--reps N]
+ *                    [--out FILE] [--quick]
  *
- * Measures the profiler's two passes over one benchmark trace at
+ * Measures the profiler's two passes over one built-in scenario's
+ * trace (default bing) at
  * increasing forward-pass thread counts: the parallel per-function
  * forward pass (CFG construction and control dependences) at N jobs,
  * then the sequential backward walk. The 1-job pipeline is the
@@ -197,29 +198,19 @@ main(int argc, char **argv)
     if (reps < 1)
         reps = 1;
 
-    workloads::SiteSpec spec;
-    if (site == "bing") {
-        spec = workloads::bingSpec();
-    } else if (site == "bing-load") {
-        spec = workloads::withoutBrowseSession(workloads::bingSpec());
-    } else if (site == "amazon") {
-        spec = workloads::amazonDesktopSpec();
-    } else if (site == "amazon-mobile") {
-        spec = workloads::amazonMobileSpec();
-    } else if (site == "maps") {
-        spec = workloads::googleMapsSpec();
-    } else {
+    if (!scenario::findBuiltin(site)) {
         std::fprintf(stderr, "unknown site '%s'\n", site.c_str());
         return 1;
     }
+    const scenario::Scenario sc = scenario::builtinScenario(site);
 
     bench::printHeader("Profiler pipeline scaling: threaded forward pass "
                        "+ sequential backward pass");
 
-    std::printf("running %s ...\n", spec.name.c_str());
+    std::printf("running %s ...\n", sc.name.c_str());
     workloads::RunResult run = [&] {
         ScopedPhase phase("workload");
-        return scenario::runSite(spec);
+        return scenario::runScenario(sc);
     }();
     const uint64_t records = run.records().size();
     std::printf("trace: %s records, analysis window %s\n\n",

@@ -2,16 +2,17 @@
  * @file
  * Slicing-service throughput and latency benchmark.
  *
- *   service_throughput [--site bing|amazon|amazon-mobile|maps|synth-workers]
- *                      [--queries N] [--out FILE] [--quick]
- *                      [--fleet N] [--fleet-clients N]
+ *   service_throughput [--site <builtin-id>|synth-workers] [--queries N]
+ *                      [--out FILE] [--quick] [--fleet N]
+ *                      [--fleet-clients N]
  *
- * `synth-workers` is not a hand-modeled site: it is a generated
+ * --site takes a built-in scenario id (default bing). `synth-workers`
+ * is not a hand-modeled site: it is a generated
  * worker-heavy scenario (scenario::generateScenario, workers=2), so the
  * service fleet gets exercised against a multi-threaded recording whose
  * trace interleaves two dedicated workers with the main thread.
  *
- * Records one benchmark site to a temporary artifact prefix, then
+ * Records one scenario to a temporary artifact prefix, then
  * measures the service from a client's point of view in three parts:
  *
  *  - session build: the one-time forward pass a fresh daemon pays for
@@ -60,41 +61,25 @@
 #include "support/strings.hh"
 #include "trace/trace_file.hh"
 #include "scenario/generator.hh"
-#include "scenario/run.hh"
-#include "workloads/sites.hh"
+#include "scenario/recording.hh"
 
 using namespace webslice;
 
 namespace {
 
-/** Write the .meta sidecar under `name` (the digest-bearing field). */
+/**
+ * Copy `from` (a .meta sidecar) to `to` with the benchmark line renamed:
+ * a different .meta makes a different recording identity.
+ */
 void
-saveMeta(const workloads::RunResult &run,
-         const workloads::SiteSpec &spec, const std::string &prefix,
-         const std::string &name)
+copyMetaRenamed(const std::string &from, const std::string &to,
+                const std::string &name)
 {
-    std::ofstream meta(prefix + ".meta");
-    meta << "benchmark " << name << '\n';
-    meta << "loadCompleteIndex " << run.loadCompleteIndex << '\n';
-    meta << "loadOnly "
-         << (spec.actions.empty() && spec.lazyJsBytes == 0 ? 1 : 0)
-         << '\n';
-    for (size_t t = 0; t < run.threadNames().size(); ++t)
-        meta << "thread " << t << ' ' << run.threadNames()[t] << '\n';
-}
-
-/** Save a run's artifacts the way webslice-record does. */
-void
-saveArtifacts(const workloads::RunResult &run,
-              const workloads::SiteSpec &spec, const std::string &prefix)
-{
-    trace::TraceWriter writer(prefix + ".trc", /*block_index=*/true);
-    for (const auto &rec : run.records())
-        writer.append(rec);
-    writer.close();
-    run.machine->symtab().save(prefix + ".sym");
-    run.machine->pixelCriteria().save(prefix + ".crit");
-    saveMeta(run, spec, prefix, spec.name);
+    std::ifstream in(from);
+    std::string benchmark_line;
+    std::getline(in, benchmark_line);
+    std::ofstream out(to);
+    out << "benchmark " << name << '\n' << in.rdbuf();
 }
 
 /** Hardlink (or copy) one artifact file to a new prefix. */
@@ -290,8 +275,8 @@ struct FleetSample
  * clients, cache stats over all shards.
  */
 FleetSample
-runFleet(const workloads::RunResult &run,
-         const workloads::SiteSpec &spec, const std::string &prefix,
+runFleet(const std::string &name, size_t records,
+         const std::string &prefix,
          const std::string &tmp_dir, int shards, int clients,
          size_t per_client)
 {
@@ -304,8 +289,8 @@ runFleet(const workloads::RunResult &run,
             format("%s_fleet%d", prefix.c_str(), p);
         for (const char *ext : {".trc", ".sym", ".crit"})
             linkOrCopy(prefix + ext, fp + ext);
-        saveMeta(run, spec, fp,
-                 format("%s-fleet-%d", spec.name.c_str(), p));
+        copyMetaRenamed(prefix + ".meta", fp + ".meta",
+                        format("%s-fleet-%d", name.c_str(), p));
         prefixes.push_back(fp);
     }
 
@@ -329,7 +314,7 @@ runFleet(const workloads::RunResult &run,
     std::vector<std::thread> threads;
     std::atomic<size_t> failures{0};
     std::atomic<uint64_t> failovers{0}, duplicates{0}, warms{0};
-    const size_t window_base = run.records().size();
+    const size_t window_base = records;
 
     const double t0 = bench::nowSeconds();
     for (int c = 0; c < clients; ++c) {
@@ -446,23 +431,13 @@ main(int argc, char **argv)
         }
     }
 
-    workloads::SiteSpec spec;
-    scenario::Scenario synth;
-    bool use_synth = false;
-    if (site == "bing") {
-        spec = workloads::bingSpec();
-    } else if (site == "amazon") {
-        spec = workloads::amazonDesktopSpec();
-    } else if (site == "amazon-mobile") {
-        spec = workloads::amazonMobileSpec();
-    } else if (site == "maps") {
-        spec = workloads::googleMapsSpec();
-    } else if (site == "synth-workers") {
+    scenario::Scenario sc;
+    if (site == "synth-workers") {
         scenario::Knobs knobs;
         knobs.workers = 2;
-        synth = scenario::generateScenario(5, knobs);
-        spec = synth.site;
-        use_synth = true;
+        sc = scenario::generateScenario(5, knobs);
+    } else if (scenario::findBuiltin(site)) {
+        sc = scenario::builtinScenario(site);
     } else {
         std::fprintf(stderr, "unknown site '%s'\n", site.c_str());
         return 1;
@@ -470,9 +445,6 @@ main(int argc, char **argv)
 
     bench::printHeader("slicing service: batch throughput and latency");
 
-    std::fprintf(stderr, "recording '%s'...\n", spec.name.c_str());
-    const auto run = use_synth ? scenario::runScenario(synth)
-                               : scenario::runSite(spec);
     const char *tmp = std::getenv("TMPDIR");
     const std::string prefix =
         std::string(tmp ? tmp : "/tmp") + "/bench_service_trace";
@@ -480,14 +452,17 @@ main(int argc, char **argv)
         std::string(tmp ? tmp : "/tmp") + "/bench_service_cold.sock";
     const std::string socket_path =
         std::string(tmp ? tmp : "/tmp") + "/bench_service.sock";
-    saveArtifacts(run, spec, prefix);
+    std::fprintf(stderr, "recording '%s'...\n", sc.name.c_str());
+    const size_t records =
+        scenario::recordScenario(sc, prefix, trace::TraceFormat::V1)
+            .records;
 
     const auto criteria = criterionSet(queries);
 
     std::printf("site %s: %s records, %zu criteria "
                 "(mode x backward-jobs, shared window)\n",
-                spec.name.c_str(),
-                withCommas(run.records().size()).c_str(), queries);
+                sc.name.c_str(),
+                withCommas(records).c_str(), queries);
 
     // ---- phase 1: plans disabled — session build + cold criteria -----------
     // One throwaway query builds the session so the criterion loop below
@@ -575,7 +550,7 @@ main(int argc, char **argv)
         }
         for (size_t k = 1; k <= 3; ++k) {
             service::SliceQuery prime;
-            prime.endIndex = run.records().size() / 2 - k;
+            prime.endIndex = records / 2 - k;
             service::SliceQuery probe = prime;
             probe.mode = slicer::CriteriaMode::Syscalls;
             service::ServiceClient::BatchOutcome outcome;
@@ -606,7 +581,7 @@ main(int argc, char **argv)
 
     // ---- warm throughput at increasing client counts -----------------------
     const size_t per_client = quick ? 4 : 16;
-    const size_t window_base = run.records().size();
+    const size_t window_base = records;
     std::vector<WarmSample> samples;
     std::printf("%8s %10s %12s %10s %10s\n", "clients", "queries",
                 "queries/s", "p50 ms", "p99 ms");
@@ -639,7 +614,7 @@ main(int argc, char **argv)
                     "%d recordings\n",
                     fleet_shards, fleet_clients, fleet_per_client,
                     2 * fleet_shards);
-        fleet = runFleet(run, spec, prefix,
+        fleet = runFleet(sc.name, records, prefix,
                          std::string(tmp ? tmp : "/tmp"), fleet_shards,
                          fleet_clients, fleet_per_client);
         std::printf("  %zu queries in %.2f s: %.2f queries/s, "
@@ -661,8 +636,8 @@ main(int argc, char **argv)
 
     std::ostringstream extra;
     extra << "{\n"
-          << "    \"site\": \"" << jsonEscape(spec.name) << "\",\n"
-          << "    \"records\": " << run.records().size() << ",\n"
+          << "    \"site\": \"" << jsonEscape(sc.name) << "\",\n"
+          << "    \"records\": " << records << ",\n"
           << "    \"criteria\": " << queries << ",\n"
           << "    \"session_build_ms\": "
           << format("%.3f", session_build_ms) << ",\n"
@@ -716,7 +691,7 @@ main(int argc, char **argv)
                        "service_throughput", {{"service", extra.str()}});
     std::printf("wrote %s\n", out_path.c_str());
 
-    for (const char *ext : {".trc", ".sym", ".crit", ".meta"})
+    for (const char *ext : {".trc", ".sym", ".crit", ".meta", ".scn"})
         std::remove((prefix + ext).c_str());
     return 0;
 }

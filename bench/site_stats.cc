@@ -21,8 +21,10 @@ main()
 {
     bench::printHeader("site_stats: benchmark volume diagnostics");
 
-    for (const auto &spec : workloads::paperBenchmarks()) {
-        const auto profiled = bench::profileSite(spec);
+    for (const char *id : scenario::kPaperBuiltins) {
+        const auto profiled =
+            bench::profileScenario(scenario::builtinScenario(id));
+        const auto &spec = profiled.run.spec;
         const auto &run = profiled.run;
         const auto &machine = *run.machine;
 

@@ -41,10 +41,11 @@ main()
                      "dyn s", "contain", "necessary", "dyn-only",
                      "removable"});
 
-    const auto specs = workloads::paperBenchmarks();
     bool all_contained = true;
-    for (const auto &spec : specs) {
-        const auto profiled = bench::profileSite(spec);
+    for (const char *id : scenario::kPaperBuiltins) {
+        const auto profiled =
+            bench::profileScenario(scenario::builtinScenario(id));
+        const auto &spec = profiled.run.spec;
         const size_t window = bench::analysisEnd(profiled.run);
         const auto &symtab = profiled.run.machine->symtab();
 

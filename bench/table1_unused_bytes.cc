@@ -63,31 +63,30 @@ main()
     table.setHeader({"Website", "Phase", "Unused bytes", "Total bytes",
                      "Pct", "Paper (unused/total/pct)"});
 
+    // Built-in scenario ids: the load-only and the load+browse session.
     struct Case
     {
-        workloads::SiteSpec load_spec;
-        workloads::SiteSpec browse_spec;
+        const char *load_id;
+        const char *browse_id;
         PaperRow paper;
         const char *site;
     };
     const std::vector<Case> cases = {
-        {workloads::amazonDesktopSpec(),
-         workloads::withBrowseSession(workloads::amazonDesktopSpec()),
-         paper_amazon, "Amazon"},
-        {workloads::withoutBrowseSession(workloads::bingSpec()),
-         workloads::bingSpec(), paper_bing, "Bing"},
-        {workloads::googleMapsSpec(),
-         workloads::withBrowseSession(workloads::googleMapsSpec()),
-         paper_maps, "Google Maps"},
+        {"amazon-desktop", "amazon-desktop-browse", paper_amazon,
+         "Amazon"},
+        {"bing-load", "bing", paper_bing, "Bing"},
+        {"maps", "maps-browse", paper_maps, "Google Maps"},
     };
 
     for (const auto &test_case : cases) {
-        const auto load_run = scenario::runSite(test_case.load_spec);
+        const auto load_run = scenario::runScenario(
+            scenario::builtinScenario(test_case.load_id));
         addRows(table, test_case.site, "Only Load", load_run,
                 test_case.paper.unusedLoad, test_case.paper.totalLoad,
                 test_case.paper.pctLoad);
 
-        const auto browse_run = scenario::runSite(test_case.browse_spec);
+        const auto browse_run = scenario::runScenario(
+            scenario::builtinScenario(test_case.browse_id));
         addRows(table, test_case.site, "Load and Browse", browse_run,
                 test_case.paper.unusedBrowse,
                 test_case.paper.totalBrowse,

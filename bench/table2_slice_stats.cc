@@ -32,9 +32,10 @@ main()
     double our_all_sum = 0.0;
     const auto &paper = bench::paperTable2();
 
-    const auto specs = workloads::paperBenchmarks();
-    for (size_t b = 0; b < specs.size(); ++b) {
-        const auto profiled = bench::profileSite(specs[b]);
+    for (size_t b = 0; b < std::size(scenario::kPaperBuiltins); ++b) {
+        const auto profiled = bench::profileScenario(
+            scenario::builtinScenario(scenario::kPaperBuiltins[b]));
+        const auto &spec = profiled.run.spec;
         const size_t window = bench::analysisEnd(profiled.run);
         const auto stats = analysis::computeThreadStats(
             profiled.records(), profiled.slice.inSlice,
@@ -43,7 +44,7 @@ main()
         const auto &ref = paper[b];
         our_all_sum += stats.all.slicePercent();
 
-        table.addRow({specs[b].name, "All",
+        table.addRow({spec.name, "All",
                       format("%.0f%%", stats.all.slicePercent()),
                       humanMillions(stats.all.totalInstructions),
                       format("%.0f%%", ref.all),
@@ -64,7 +65,7 @@ main()
         addThread("Compositor", 1, ref.compositor);
         addThread("Rasterizer 1", 2, ref.raster1);
         addThread("Rasterizer 2", 3, ref.raster2);
-        if (specs[b].browser.rasterThreads >= 3)
+        if (spec.browser.rasterThreads >= 3)
             addThread("Rasterizer 3", 4, ref.raster3);
         table.addSeparator();
     }

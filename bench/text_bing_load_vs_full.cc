@@ -25,10 +25,9 @@ main()
         "text_bing_load_vs_full: Bing load-window slice, two criteria "
         "horizons");
 
-    const auto spec = workloads::bingSpec();
     // Full-session slice (no window).
-    const auto profiled = bench::profileSite(spec, {},
-                                             /*apply_window=*/false);
+    const auto profiled = bench::profileScenario(
+        scenario::builtinScenario("bing"), {}, /*apply_window=*/false);
     const size_t load_end = profiled.run.loadCompleteIndex;
 
     // (a) slice as if the trace ended at load complete.

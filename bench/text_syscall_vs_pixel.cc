@@ -31,8 +31,10 @@ main()
     table.setHeader({"Benchmark", "Pixel slice", "Syscall slice",
                      "Pixel&Syscall", "Pixel-only", "Syscall-only"});
 
-    for (const auto &spec : workloads::paperBenchmarks()) {
-        const auto profiled = bench::profileSite(spec);
+    for (const char *id : scenario::kPaperBuiltins) {
+        const auto profiled =
+            bench::profileScenario(scenario::builtinScenario(id));
+        const auto &spec = profiled.run.spec;
         slicer::SlicerOptions sys_options;
         sys_options.mode = slicer::CriteriaMode::Syscalls;
         sys_options = bench::windowedOptions(profiled.run, sys_options);

@@ -3,7 +3,7 @@
  * Trace-format bench: the v1 (flat) vs v2 (columnar compressed)
  * storage/decode trade, measured end to end on a recorded benchmark.
  *
- *   trace_format [--site bing|amazon|amazon-mobile|maps] [--reps N]
+ *   trace_format [--site <builtin-id>] [--reps N]
  *                [--out BENCH_trace.json] [--quick]
  *
  * For one recorded session the bench reports, per format:
@@ -105,25 +105,17 @@ main(int argc, char **argv)
     if (reps < 1)
         reps = 1;
 
-    workloads::SiteSpec spec;
-    if (site == "bing") {
-        spec = workloads::bingSpec();
-    } else if (site == "amazon") {
-        spec = workloads::amazonDesktopSpec();
-    } else if (site == "amazon-mobile") {
-        spec = workloads::amazonMobileSpec();
-    } else if (site == "maps") {
-        spec = workloads::googleMapsSpec();
-    } else {
+    if (!scenario::findBuiltin(site)) {
         std::fprintf(stderr, "unknown site '%s'\n", site.c_str());
         return 1;
     }
+    const scenario::Scenario sc = scenario::builtinScenario(site);
 
     bench::printHeader("trace_format: flat (v1) vs columnar (v2) "
                        "storage and decode");
 
-    std::printf("running %s ...\n", spec.name.c_str());
-    const bench::ProfiledRun profiled = bench::profileSite(spec);
+    std::printf("running %s ...\n", sc.name.c_str());
+    const bench::ProfiledRun profiled = bench::profileScenario(sc);
     const auto &records = profiled.records();
     const uint64_t count = records.size();
     std::printf("%s records recorded\n", withCommas(count).c_str());

@@ -32,13 +32,14 @@ main()
                      "Main-thread saved", "Load ms eager", "Load ms "
                      "lazy"});
 
-    for (const auto &spec : workloads::paperBenchmarks()) {
+    for (const char *id : scenario::kPaperBuiltins) {
+        const auto sc = scenario::builtinScenario(id);
         browser::JsEngineConfig eager;
-        const auto eager_run = scenario::runSite(spec, eager);
+        const auto eager_run = scenario::runScenario(sc, eager);
 
         browser::JsEngineConfig lazy;
         lazy.lazyCompile = true;
-        const auto lazy_run = scenario::runSite(spec, lazy);
+        const auto lazy_run = scenario::runScenario(sc, lazy);
 
         auto mainInstr = [](const workloads::RunResult &run) {
             uint64_t count = 0;
@@ -65,7 +66,7 @@ main()
                      static_cast<double>(lazy_main)) /
             static_cast<double>(eager_main);
         table.addRow({
-            spec.name,
+            sc.name,
             withCommas(eager_total),
             withCommas(lazy_total),
             format("%.1f%%", saved_total),

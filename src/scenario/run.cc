@@ -120,15 +120,6 @@ resolveAction(const SiteSpec &site, size_t k, UserAction action)
 
 } // namespace
 
-Scenario
-scenarioFromSpec(const SiteSpec &spec)
-{
-    Scenario sc;
-    sc.name = spec.name;
-    sc.site = spec;
-    return sc;
-}
-
 RunResult
 runScenario(const Scenario &sc, browser::JsEngineConfig js_config)
 {
@@ -211,12 +202,6 @@ runScenario(const Scenario &sc, browser::JsEngineConfig js_config)
     result.cssTotalBytes = result.tab->cssTotalBytes();
     result.cssUsedBytes = result.tab->cssUsedBytes();
     return result;
-}
-
-RunResult
-runSite(const SiteSpec &spec, browser::JsEngineConfig js_config)
-{
-    return runScenario(scenarioFromSpec(spec), js_config);
 }
 
 } // namespace scenario

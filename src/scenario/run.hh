@@ -2,13 +2,12 @@
  * @file
  * The one scenario execution engine.
  *
- * Every recorded session — hard-coded paper benchmark, checked-in .scn
- * file, or generated sweep member — runs through runScenario, which
- * compiles the scenario into browser::Tab scheduling calls on a fresh
- * sim::Machine. Because the machine assigns trace PCs in first-use
- * execution order, a spec-factory benchmark and its .scn port produce
- * bit-identical traces (asserted by tests/test_scenario.cc and cmp'd in
- * CI).
+ * Every recorded session — built-in, .scn file, or generated sweep
+ * member — runs through runScenario, which compiles the scenario into
+ * browser::Tab scheduling calls on a fresh sim::Machine. The machine
+ * assigns trace PCs in first-use execution order, so the same scenario
+ * always records the same trace, byte for byte (recording.hh relies on
+ * it).
  */
 
 #ifndef WEBSLICE_SCENARIO_RUN_HH
@@ -20,20 +19,12 @@
 namespace webslice {
 namespace scenario {
 
-/** Wrap a bare site spec into a single-tab, no-worker scenario. */
-Scenario scenarioFromSpec(const workloads::SiteSpec &spec);
-
-/** Record one scenario end to end; fatal if any tab never loads. */
+/**
+ * Record one scenario end to end; fatal if any tab never loads. With
+ * scenario.site.captureValues the machine also captures the value log.
+ */
 workloads::RunResult runScenario(const Scenario &scenario,
                                  browser::JsEngineConfig js_config = {});
-
-/**
- * Record one bare spec (= runScenario(scenarioFromSpec(spec))). This is
- * the drop-in replacement for the old workloads::runSite and schedules
- * the identical task sequence.
- */
-workloads::RunResult runSite(const workloads::SiteSpec &spec,
-                             browser::JsEngineConfig js_config = {});
 
 } // namespace scenario
 } // namespace webslice

@@ -203,9 +203,6 @@ parseScenarioText(const std::string &text, const std::string &path)
         } else if (key == "image_bytes") {
             args(1);
             spec.imageBytes = parseU64(tok[1]);
-        } else if (key == "capture_values") {
-            args(1);
-            spec.captureValues = parseBool(tok[1]);
         } else {
             fail("unknown site key '" + key + "'");
         }
@@ -452,7 +449,6 @@ serializeSiteBlock(std::string &out, const char *head, const SiteSpec &s)
     out += "  css_used_fraction " + doubleText(s.css.usedFraction) +
            "\n";
     out += format("  image_bytes %zu\n", s.imageBytes);
-    out += "  capture_values " + boolText(s.captureValues) + "\n";
     out += "}\n";
 }
 

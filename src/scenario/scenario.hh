@@ -7,12 +7,12 @@
  * optional secondary tabs sharing the same browser thread set, a count
  * of dedicated workers, and the scripted interaction sequence. The
  * legacy verbs (scroll/click/key plus the single mid-session lazy
- * fetch) live inside the SiteSpec exactly where the hard-coded paper
- * benchmarks kept them, so a spec-factory benchmark and its .scn port
- * schedule the identical task sequence and therefore record the
- * identical trace. New verbs (typing bursts, SPA partial navigation,
- * raf loops, worker bursts, secondary-tab input) ride in extraActions,
- * scheduled after the legacy block in file order.
+ * fetch) live inside the SiteSpec, scheduled first. New verbs (typing
+ * bursts, SPA partial navigation, raf loops, worker bursts,
+ * secondary-tab input) ride in extraActions, scheduled after the
+ * legacy block in file order. The built-in sessions are checked-in
+ * .scn files (scenario/builtins.hh), and every recording carries its
+ * .scn beside the trace (scenario/recording.hh).
  *
  * The text format is line oriented:
  *

@@ -84,9 +84,8 @@ struct SliceQuery
     /** Extra window cap (exclusive record index); UINT64_MAX = none. */
     uint64_t endIndex = UINT64_MAX;
 
-    /** Threads for replaying this query's cached epoch plan (see
-     *  SlicerOptions::backwardJobs); without a plan the query walks
-     *  sequentially. 1 = one-walk replay. */
+    /** Accepted on the wire (SlicerOptions::backwardJobs); the value no
+     *  longer changes how the query runs. */
     int backwardJobs = 1;
 
     /** Queue deadline in milliseconds; 0 = wait however long it takes.

@@ -4,9 +4,8 @@
  *
  * Each slicing criterion of a batch becomes one Job run on the shared
  * ThreadPool, so a batch of N criteria against one session executes
- * its backward passes concurrently (each query may additionally replay
- * its cached epoch plan on backward_jobs threads). Robustness
- * is part of the contract:
+ * its backward passes concurrently. Robustness is part of the
+ * contract:
  *
  *  - bounded queue: submissions beyond the configured depth are
  *    rejected immediately (429-style backpressure) instead of growing

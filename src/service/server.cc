@@ -296,14 +296,13 @@ Server::statsResponse() const
     j.set("slicer", std::move(slicer_json));
 
     // Trace-layer I/O counters: on-disk footprint touched, columnar
-    // blocks decoded, and value-log checkpoint restores. Same
-    // stable-zeros contract as the slicer section.
+    // blocks decoded, and the decode cache. Same stable-zeros contract
+    // as the slicer section.
     Json trace_json = Json::object();
     for (const char *name :
          {"trace.bytes_on_disk", "trace.bytes_decoded",
-          "trace.blocks_decoded", "trace.checkpoint_restores",
-          "trace.block_cache_hits", "trace.block_cache_misses",
-          "trace.block_cache_evictions"}) {
+          "trace.blocks_decoded", "trace.block_cache_hits",
+          "trace.block_cache_misses", "trace.block_cache_evictions"}) {
         const char *dot = std::strchr(name, '.');
         trace_json.set(dot + 1,
                        Json::integer(static_cast<int64_t>(

@@ -2,15 +2,14 @@
  * @file
  * Reusable epoch plans and their replay (see epoch.hh for the scheme).
  *
- * Exactness argument, in brief: the stitch phase replays the full
- * transition rules of the sequential kernel over every epoch's ops, so
- * the state it holds when it reaches an epoch boundary *is* the state
- * the sequential pass holds at that record index — not an approximation
- * of it. Each epoch's resolve then replays its segment from that exact
- * state, so every include decision matches the sequential pass record
- * for record. Elided records are provable state-no-ops under the
- * options in force (they could never change liveness, pending branches,
- * frames, or the slice), so eliding them changes neither phase.
+ * Exactness argument, in brief: the replay applies the full transition
+ * rules of the sequential kernel to every epoch's ops, newest epoch to
+ * oldest, so the state it holds when it reaches an epoch boundary *is*
+ * the state the sequential pass holds at that record index, and every
+ * include decision matches the sequential pass record for record.
+ * Elided records are provable state-no-ops under the options in force
+ * (they could never change liveness, pending branches, frames, or the
+ * slice), so eliding them changes nothing.
  *
  * The only outputs that may differ from the sequential pass are the
  * flatProbes/flatResizes diagnostics: per-epoch hash tables grow from
@@ -71,7 +70,7 @@ constexpr uint16_t kWideSize = 0xFFFF;
  * depsTable of pre-resolved dependence spans; `tid8` indexes the
  * epoch's tid table.
  */
-struct StitchOp
+struct EpochOp
 {
     uint64_t a = 0;
     uint32_t idx = 0;
@@ -83,8 +82,8 @@ struct StitchOp
     uint8_t tid8 = 0;
 };
 
-static_assert(sizeof(StitchOp) == 24, "ops are the stitch phase's working "
-                                      "set; keep them packed");
+static_assert(sizeof(EpochOp) == 24, "ops are the replay's working set; "
+                                      "keep them packed");
 
 /**
  * Memoized gen/kill summary of one epoch, computed during transcode.
@@ -143,7 +142,7 @@ struct EpochData
     size_t last = 0;
 
     /** Ops in backward walk order (descending record index). */
-    std::vector<StitchOp> ops;
+    std::vector<EpochOp> ops;
 
     /** Pre-resolved control-dependence spans (into the sealed map). */
     std::vector<std::pair<const Pc *, uint32_t>> depsTable;
@@ -170,9 +169,9 @@ struct EpochData
 };
 
 /**
- * Compiles one epoch's records (fed newest first) into StitchOps,
+ * Compiles one epoch's records (fed newest first) into EpochOps,
  * applying the elision rules and pre-resolving dependence lists so the
- * serial stitch phase never probes the control-dependence map.
+ * replay never probes the control-dependence map.
  */
 class EpochTranscoder
 {
@@ -209,7 +208,7 @@ class EpochTranscoder
             // Always emitted, whatever the criteria mode: the walk
             // checks the mode instead, which keeps the transcode (and
             // any EpochPlan built from it) criterion-independent.
-            StitchOp op = base(idx, rec, RecordKind::Marker);
+            EpochOp op = base(idx, rec, RecordKind::Marker);
             op.a = rec.aux;
             op.deps = depsRef(idx, rec.pc);
             data_.ops.push_back(op);
@@ -226,7 +225,7 @@ class EpochTranscoder
                 ++data_.elidedRecords;
                 return;
             }
-            StitchOp op = base(idx, rec, RecordKind::Alu);
+            EpochOp op = base(idx, rec, RecordKind::Alu);
             op.a = static_cast<uint64_t>(rec.rr1) |
                    (static_cast<uint64_t>(rec.rr2) << 16);
             op.r0 = rec.rr0;
@@ -245,7 +244,7 @@ class EpochTranscoder
                 ++data_.elidedRecords;
                 return;
             }
-            StitchOp op = base(idx, rec, RecordKind::Load);
+            EpochOp op = base(idx, rec, RecordKind::Load);
             op.a = rec.addr;
             op.aux16 = packSize(idx, rec.aux);
             op.r0 = rec.rr0;
@@ -264,7 +263,7 @@ class EpochTranscoder
                 ++data_.elidedRecords;
                 return;
             }
-            StitchOp op = base(idx, rec, RecordKind::Store);
+            EpochOp op = base(idx, rec, RecordKind::Store);
             op.a = rec.addr;
             op.aux16 = packSize(idx, rec.aux);
             op.r0 = rec.rr0;
@@ -284,7 +283,7 @@ class EpochTranscoder
                 ++data_.elidedRecords;
                 return;
             }
-            StitchOp op = base(idx, rec, RecordKind::Branch);
+            EpochOp op = base(idx, rec, RecordKind::Branch);
             op.a = rec.pc;
             op.r0 = rec.rr0;
             op.deps = depsRef(idx, rec.pc);
@@ -294,7 +293,7 @@ class EpochTranscoder
           }
 
           case RecordKind::Call: {
-            StitchOp op = base(idx, rec, RecordKind::Call);
+            EpochOp op = base(idx, rec, RecordKind::Call);
             op.r0 = rec.rr0;
             op.deps = depsRef(idx, rec.pc);
             data_.ops.push_back(op);
@@ -308,14 +307,14 @@ class EpochTranscoder
           }
 
           case RecordKind::Ret: {
-            const StitchOp op = base(idx, rec, RecordKind::Ret);
+            const EpochOp op = base(idx, rec, RecordKind::Ret);
             data_.ops.push_back(op);
             ++frameDepth_[op.tid8];
             return;
           }
 
           case RecordKind::Syscall: {
-            StitchOp op = base(idx, rec, RecordKind::Syscall);
+            EpochOp op = base(idx, rec, RecordKind::Syscall);
             op.rw = rec.rw;
             op.deps = depsRef(idx, rec.pc);
             data_.ops.push_back(op);
@@ -328,7 +327,7 @@ class EpochTranscoder
 
           case RecordKind::SyscallRead:
           case RecordKind::SyscallWrite: {
-            StitchOp op = base(idx, rec, rec.kind);
+            EpochOp op = base(idx, rec, rec.kind);
             op.a = rec.addr;
             op.deps = rec.aux; // byte count; pseudos never need a dep ref
             data_.ops.push_back(op);
@@ -412,10 +411,10 @@ class EpochTranscoder
             data_.summary.widened = true;
     }
 
-    StitchOp
+    EpochOp
     base(size_t idx, const Record &rec, RecordKind kind)
     {
-        StitchOp op;
+        EpochOp op;
         op.idx = static_cast<uint32_t>(idx);
         op.kind = static_cast<uint8_t>(kind);
         op.tid8 = tid8(rec.tid);
@@ -485,10 +484,7 @@ class EpochTranscoder
     std::array<uint8_t, 256> pendingReads_{};
 };
 
-/**
- * The full analysis state carried across epochs. Copyable: a boundary
- * snapshot is a plain copy of this struct.
- */
+/** The full analysis state the replay carries across epochs. */
 struct WalkState
 {
     SparseByteSet liveMem;
@@ -497,29 +493,25 @@ struct WalkState
 
 /**
  * Replay one epoch's ops over `st`, applying exactly the sequential
- * kernel's transition rules. kEmit=false is the stitch phase (state
- * only); kEmit=true is the resolve phase, which additionally writes the
- * shared verdict bitmap and accumulates counters and peaks into `out`.
+ * kernel's transition rules, writing the verdict bitmap and
+ * accumulating counters and peaks into `out`.
  */
-template <bool kEmit>
 void
 walkEpoch(const EpochData &ep, WalkState &st, const SlicerOptions &opt,
           const trace::CriteriaSet &criteria, size_t record_count,
-          SliceResult *out, uint8_t *in_slice)
+          SliceResult &out)
 {
+    uint8_t *const in_slice = out.inSlice.data();
+
     // Per-epoch tid8 -> thread-state pointer cache; unordered_map node
     // references are stable across inserts, so the pointers stay valid.
     std::array<ThreadState *, 256> cache{};
 
-    uint64_t probe_base = 0;
-    uint64_t resize_base = 0;
-    if constexpr (kEmit) {
-        probe_base = st.liveMem.probeCount();
-        resize_base = st.liveMem.resizeCount();
-        for (const auto &kv : st.threads) {
-            probe_base += kv.second.pending.probeCount();
-            resize_base += kv.second.pending.resizeCount();
-        }
+    uint64_t probe_base = st.liveMem.probeCount();
+    uint64_t resize_base = st.liveMem.resizeCount();
+    for (const auto &kv : st.threads) {
+        probe_base += kv.second.pending.probeCount();
+        resize_base += kv.second.pending.resizeCount();
     }
 
     auto thread_state = [&](uint8_t t8) -> ThreadState & {
@@ -530,39 +522,33 @@ walkEpoch(const EpochData &ep, WalkState &st, const SlicerOptions &opt,
     };
 
     auto sample_peak_mem = [&] {
-        if constexpr (kEmit) {
-            out->peakLiveMemBytes = std::max<uint64_t>(
-                out->peakLiveMemBytes, st.liveMem.size());
-            out->peakLiveMemChunks = std::max<uint64_t>(
-                out->peakLiveMemChunks, st.liveMem.chunkCount());
-        }
+        out.peakLiveMemBytes = std::max<uint64_t>(out.peakLiveMemBytes,
+                                                   st.liveMem.size());
+        out.peakLiveMemChunks = std::max<uint64_t>(
+            out.peakLiveMemChunks, st.liveMem.chunkCount());
     };
 
-    auto include = [&](const StitchOp &op, ThreadState &ts) {
-        if constexpr (kEmit) {
-            in_slice[op.idx] = 1;
-            ++out->sliceInstructions;
-        }
+    auto include = [&](const EpochOp &op, ThreadState &ts) {
+        in_slice[op.idx] = 1;
+        ++out.sliceInstructions;
         if (op.deps != 0) {
             const auto &span = ep.depsTable[op.deps - 1];
             for (uint32_t i = 0; i < span.second; ++i)
                 ts.pending.insert(span.first[i]);
-            if constexpr (kEmit) {
-                out->peakPendingBranches = std::max<uint64_t>(
-                    out->peakPendingBranches, ts.pending.size());
-            }
+            out.peakPendingBranches = std::max<uint64_t>(
+                out.peakPendingBranches, ts.pending.size());
         }
         if (!ts.frames.empty())
             ts.frames.back().any = true;
     };
 
-    auto mem_size = [&](const StitchOp &op) -> uint64_t {
+    auto mem_size = [&](const EpochOp &op) -> uint64_t {
         if (op.aux16 != kWideSize)
             return op.aux16;
         return ep.wideSizes.at(op.idx);
     };
 
-    for (const StitchOp &op : ep.ops) {
+    for (const EpochOp &op : ep.ops) {
         ThreadState &ts = thread_state(op.tid8);
         switch (static_cast<RecordKind>(op.kind)) {
           case RecordKind::Marker: {
@@ -574,8 +560,7 @@ walkEpoch(const EpochData &ep, WalkState &st, const SlicerOptions &opt,
             for (const auto &range :
                  criteria.forMarker(static_cast<uint32_t>(op.a))) {
                 st.liveMem.insert(range.addr, range.size);
-                if constexpr (kEmit)
-                    out->criteriaBytesSeeded += range.size;
+                out.criteriaBytesSeeded += range.size;
             }
             sample_peak_mem();
             include(op, ts);
@@ -602,10 +587,8 @@ walkEpoch(const EpochData &ep, WalkState &st, const SlicerOptions &opt,
             if (joins) {
                 for (const auto &range : ts.syscallReads) {
                     st.liveMem.insert(range.addr, range.size);
-                    if constexpr (kEmit) {
-                        if (opt.mode == CriteriaMode::Syscalls)
-                            out->criteriaBytesSeeded += range.size;
-                    }
+                    if (opt.mode == CriteriaMode::Syscalls)
+                        out.criteriaBytesSeeded += range.size;
                 }
                 sample_peak_mem();
                 include(op, ts);
@@ -679,15 +662,11 @@ walkEpoch(const EpochData &ep, WalkState &st, const SlicerOptions &opt,
                 include(op, ts);
                 if (opt.includeRegisterDeps)
                     ts.genReg(op.r0);
-                // The matching Ret may live in a later epoch; only the
-                // epoch that pops the frame writes its verdict, so the
-                // cross-epoch write is conflict-free.
-                if constexpr (kEmit) {
-                    if (ret_index < record_count &&
-                        !in_slice[ret_index]) {
-                        in_slice[ret_index] = 1;
-                        ++out->sliceInstructions;
-                    }
+                // The matching Ret may live in a later epoch; the epoch
+                // that pops the frame writes its verdict.
+                if (ret_index < record_count && !in_slice[ret_index]) {
+                    in_slice[ret_index] = 1;
+                    ++out.sliceInstructions;
                 }
             }
             break;
@@ -698,16 +677,14 @@ walkEpoch(const EpochData &ep, WalkState &st, const SlicerOptions &opt,
         }
     }
 
-    if constexpr (kEmit) {
-        uint64_t probes = st.liveMem.probeCount();
-        uint64_t resizes = st.liveMem.resizeCount();
-        for (const auto &kv : st.threads) {
-            probes += kv.second.pending.probeCount();
-            resizes += kv.second.pending.resizeCount();
-        }
-        out->flatProbes += probes - probe_base;
-        out->flatResizes += resizes - resize_base;
+    uint64_t probes = st.liveMem.probeCount();
+    uint64_t resizes = st.liveMem.resizeCount();
+    for (const auto &kv : st.threads) {
+        probes += kv.second.pending.probeCount();
+        resizes += kv.second.pending.resizeCount();
     }
+    out.flatProbes += probes - probe_base;
+    out.flatResizes += resizes - resize_base;
 }
 
 /**
@@ -813,7 +790,7 @@ uint64_t
 epochApproxBytes(const EpochData &ep)
 {
     uint64_t bytes = sizeof(EpochData);
-    bytes += ep.ops.capacity() * sizeof(StitchOp);
+    bytes += ep.ops.capacity() * sizeof(EpochOp);
     bytes += ep.depsTable.capacity() * sizeof(ep.depsTable[0]);
     bytes += ep.tids.capacity() * sizeof(ThreadId);
     bytes += ep.wideSizes.size() * 32;
@@ -1007,69 +984,17 @@ computeSliceWithPlan(const EpochPlan &plan,
     result.analyzedWindowEnd = d.bounds.back();
     result.recordsFed = d.bounds.back();
 
+    // One walk, newest epoch to oldest, carrying the exact analysis
+    // state across epoch boundaries.
     uint64_t skipped = 0;
-    const unsigned jobs = ThreadPool::resolveJobs(options.backwardJobs);
-
-    if (jobs <= 1) {
-        // Sequential replay: one walk per epoch, the resolve itself
-        // carries the state forward, so nothing is walked twice.
-        WalkState state;
-        for (size_t k = epoch_count; k-- > 0;) {
-            const EpochData &ep = d.epochs[k];
-            if (summaryAllowsSkip(ep, state, options)) {
-                ++skipped;
-                continue;
-            }
-            walkEpoch<true>(ep, state, options, criteria, record_count,
-                            &result, result.inSlice.data());
+    WalkState state;
+    for (size_t k = epoch_count; k-- > 0;) {
+        const EpochData &ep = d.epochs[k];
+        if (summaryAllowsSkip(ep, state, options)) {
+            ++skipped;
+            continue;
         }
-    } else {
-        // Stitch on the calling thread, newest epoch to oldest. The
-        // state *before* stitching epoch k is its exact live-out;
-        // snapshot it, hand the snapshot to a resolve task, then advance
-        // the state through the epoch. Epoch 0 needs no live-out for
-        // anyone, so the state moves into its resolve instead.
-        ThreadPool pool(jobs - 1);
-        TaskGroup group;
-        std::vector<SliceResult> partial(epoch_count);
-        WalkState state;
-        for (size_t k = epoch_count; k-- > 0;) {
-            if (summaryAllowsSkip(d.epochs[k], state, options)) {
-                ++skipped;
-                continue;
-            }
-            if (k > 0) {
-                auto seed = std::make_shared<WalkState>(state);
-                pool.post(group, [&, k, seed] {
-                    walkEpoch<true>(d.epochs[k], *seed, options, criteria,
-                                    record_count, &partial[k],
-                                    result.inSlice.data());
-                });
-                walkEpoch<false>(d.epochs[k], state, options, criteria,
-                                 record_count, nullptr, nullptr);
-            } else {
-                auto seed = std::make_shared<WalkState>(std::move(state));
-                pool.post(group, [&, seed] {
-                    walkEpoch<true>(d.epochs[0], *seed, options, criteria,
-                                    record_count, &partial[0],
-                                    result.inSlice.data());
-                });
-            }
-        }
-        pool.drain(group);
-        for (size_t k = 0; k < epoch_count; ++k) {
-            result.sliceInstructions += partial[k].sliceInstructions;
-            result.criteriaBytesSeeded += partial[k].criteriaBytesSeeded;
-            result.flatProbes += partial[k].flatProbes;
-            result.flatResizes += partial[k].flatResizes;
-            result.peakLiveMemBytes = std::max(
-                result.peakLiveMemBytes, partial[k].peakLiveMemBytes);
-            result.peakLiveMemChunks = std::max(
-                result.peakLiveMemChunks, partial[k].peakLiveMemChunks);
-            result.peakPendingBranches =
-                std::max(result.peakPendingBranches,
-                         partial[k].peakPendingBranches);
-        }
+        walkEpoch(ep, state, options, criteria, record_count, result);
     }
 
     // Skipped epochs still count their analyzed instructions: the tally

@@ -1,6 +1,7 @@
 /**
  * @file
- * Reusable epoch plans for warm queries: transcode → stitch → resolve.
+ * Reusable epoch plans for warm queries: transcode once, replay per
+ * query.
  *
  * A cold query runs the sequential backward walk (slicer.hh). When many
  * criteria are sliced over the same trace window, most of that walk's
@@ -9,29 +10,20 @@
  * the criterion. An EpochPlan does that work once, over N trace epochs:
  *
  *  1. Transcode (parallel, at plan build): each epoch's records are
- *     walked backward and compiled into compact 24-byte stitch ops.
- *     Provable state-no-ops (unconditional jumps, dead-destination ALU
- *     ops, branches that no dependence list ever names) are elided,
+ *     walked backward and compiled into compact 24-byte ops. Provable
+ *     state-no-ops (unconditional jumps, dead-destination ALU ops,
+ *     branches that no dependence list ever names) are elided,
  *     control-dependence lists are pre-resolved into per-epoch span
  *     tables, thread ids are compressed through per-epoch tables, and a
  *     gen/kill summary of the epoch is memoized.
- *  2. Stitch (per query, sequential, newest epoch to oldest): the ops
- *     are replayed with the full transition rules but no output
- *     bookkeeping, yielding the *exact* analysis state at every epoch
- *     boundary — the state the sequential pass would hold at that
- *     record index.
- *  3. Resolve (per query, parallel, overlapped with the stitch): each
- *     epoch replays its ops once more, seeded with its exact boundary
- *     state, this time emitting verdict bits, counters, and peaks.
- *     Per-record verdicts are disjoint across epochs, and the one
- *     cross-epoch write (a Call marking its matching Ret) is performed
- *     only by the epoch that pops the frame, so the epochs write the
- *     shared bitmap without conflicts.
+ *  2. Replay (per query, one sequential walk, newest epoch to oldest):
+ *     the ops are replayed with the full transition rules, carrying the
+ *     exact analysis state across epoch boundaries and emitting verdict
+ *     bits, counters, and peaks as they go.
  *
- * With backwardJobs = 1 a query skips the split and replays the epochs
- * in one walk, which stitches and resolves at once. Either way, epochs
- * whose summary proves the incoming state passes through unchanged are
- * skipped, and a repeated criterion is answered from a per-plan memo.
+ * Epochs whose summary proves the incoming state passes through
+ * unchanged are skipped, and a repeated criterion is answered from a
+ * per-plan memo.
  *
  * Because the replay runs the same transition rules as the sequential
  * kernel over the same state types (slicer/kernel.hh), the output is
@@ -53,14 +45,14 @@ namespace slicer {
 
 /**
  * An immutable, criterion-independent epoch transcode: the per-epoch
- * StitchOps, pre-resolved dependence spans, and memoized gen/kill
+ * ops, pre-resolved dependence spans, and memoized gen/kill
  * summaries for one (trace, window, dependence-knobs) triple.
  *
- * Build once with buildEpochPlan(), then serve any number of queries —
- * any criteria mode, any backwardJobs — through
- * SlicerOptions::reusePlan. Each query replays the cached ops (no
- * transcode pass) and consults the per-epoch summaries to skip epochs
- * its live state provably passes through unchanged. Thread-safe for
+ * Build once with buildEpochPlan(), then serve any number of queries,
+ * in any criteria mode, through SlicerOptions::reusePlan. Each query
+ * replays the cached ops (no transcode pass) and consults the
+ * per-epoch summaries to skip epochs its live state provably passes
+ * through unchanged. Thread-safe for
  * concurrent queries: all plan state is read-only after construction.
  *
  * Lifetime: the plan's dependence spans point into the sealed
@@ -118,8 +110,8 @@ buildEpochPlan(std::span<const trace::Record> records,
 
 /**
  * Run one query over a prepared plan: no transcode, summary-gated epoch
- * skipping, one sequential replay or a parallel stitch/resolve per
- * options.backwardJobs. The plan must be compatibleWith() the options.
+ * skipping, one sequential replay (options.backwardJobs is ignored).
+ * The plan must be compatibleWith() the options.
  * Output is bit-identical to the sequential oracle (the usual
  * flatProbes/flatResizes diagnostics excepted).
  */

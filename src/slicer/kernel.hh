@@ -6,8 +6,8 @@
  * Two walks build on this type:
  *  - the sequential pass (slicer.cc), which is the oracle every other
  *    configuration must match bit for bit, and
- *  - the epoch-plan replay (epoch.cc), whose stitch and resolve phases
- *    re-run the same transition rules over per-epoch segments.
+ *  - the epoch-plan replay (epoch.cc), which re-runs the same
+ *    transition rules over per-epoch segments of transcoded ops.
  *
  * Keeping the state in one header is what makes "bit-identical" a
  * structural guarantee instead of a testing aspiration: there is one
@@ -31,8 +31,7 @@ namespace slicer {
 /**
  * Per-thread analysis state for the backward pass.
  *
- * Copyable by design: the plan replay snapshots the full analysis state
- * at each epoch boundary and seeds the epoch's resolve from the copy.
+ * The plan replay carries it across epoch boundaries unchanged.
  */
 struct ThreadState
 {

@@ -80,13 +80,10 @@ struct SlicerOptions
     int jobs = 1;
 
     /**
-     * Worker threads for replaying a compatible reusePlan. 1 (the
-     * default) replays the plan's epochs in one walk; values > 1 (or
-     * <= 0 for "all hardware threads") stitch the epochs newest to
-     * oldest into exact boundary states and resolve them in parallel
-     * (see slicer/epoch.hh). A cold query — one without a compatible
-     * plan — always runs the sequential walk, whatever this says. The
-     * slice is bit-identical for every value.
+     * Accepted for callers and the wire protocol; the value no longer
+     * changes how a query runs. A compatible reusePlan is replayed in
+     * one walk (slicer/epoch.hh), and a cold query runs the sequential
+     * walk.
      */
     int backwardJobs = 1;
 

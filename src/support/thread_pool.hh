@@ -26,10 +26,10 @@ namespace webslice {
 
 /**
  * Tracks a set of tasks posted to a ThreadPool so a producer can block
- * until all of them have run. The epoch-plan replay posts per-epoch
- * resolve tasks against one group while its stitch phase keeps running
- * on the calling thread; the first exception thrown by any task is
- * captured and rethrown from wait().
+ * until all of them have run. buildEpochPlan posts its per-epoch
+ * transcode tasks against one group and the scheduler its queries; the
+ * first exception thrown by any task is captured and rethrown from
+ * wait().
  */
 class TaskGroup
 {
@@ -91,8 +91,8 @@ class ThreadPool
      * Let the calling thread execute queued tasks until `group` has no
      * outstanding work, then return (rethrowing the group's first task
      * exception). Tasks from other groups encountered in the queue are
-     * executed too — work is work. This is how the epoch driver's
-     * calling thread joins the resolve phase after its stitch finishes.
+     * executed too — work is work. This is how buildEpochPlan's
+     * calling thread joins its own transcode tasks.
      */
     void drain(TaskGroup &group);
 

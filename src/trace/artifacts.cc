@@ -8,10 +8,8 @@ namespace trace {
 
 namespace {
 
-/** Artifact extensions in report order; .val last because optional. */
-const char *const kRequiredExtensions[] = {".trc", ".sym", ".crit",
-                                           ".meta"};
-constexpr char kValuesExtension[] = ".val";
+/** Artifact extensions in report order. */
+const char *const kExtensions[] = {".trc", ".sym", ".crit", ".meta"};
 
 } // namespace
 
@@ -26,15 +24,11 @@ loadArtifactSidecars(const std::string &prefix)
 }
 
 std::vector<ArtifactDigest>
-digestArtifacts(const std::string &prefix, bool include_values)
+digestArtifacts(const std::string &prefix)
 {
     std::vector<ArtifactDigest> digests;
-    for (const char *ext : kRequiredExtensions) {
+    for (const char *ext : kExtensions) {
         const std::string path = prefix + ext;
-        digests.push_back({path, digestFile(path)});
-    }
-    if (include_values) {
-        const std::string path = prefix + kValuesExtension;
         digests.push_back({path, digestFile(path)});
     }
     return digests;
@@ -60,9 +54,8 @@ combinedArtifactDigest(const std::vector<ArtifactDigest> &digests)
 }
 
 std::string
-artifactDigestsJson(const std::string &prefix, bool include_values)
+artifactDigestsJson(const std::vector<ArtifactDigest> &digests)
 {
-    const auto digests = digestArtifacts(prefix, include_values);
     std::ostringstream out;
     out << "{\n";
     bool first = true;

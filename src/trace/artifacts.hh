@@ -1,8 +1,9 @@
 /**
  * @file
  * One recording's artifact bundle: the <prefix>.trc/.sym/.crit/.meta
- * files webslice-record hands to every offline consumer, plus the
- * optional <prefix>.val value log.
+ * files webslice-record hands to every offline consumer. (The
+ * recording's <prefix>.scn rides beside them but is not part of its
+ * identity; see scenario/recording.hh.)
  *
  * webslice-profile, webslice-check, and webslice-served all start from
  * the same ritual — load the three sidecars, note the run metadata, and
@@ -50,12 +51,11 @@ struct ArtifactDigest
 };
 
 /**
- * Digest the artifact files of `prefix`: .trc, .sym, .crit, .meta, and
- * (with include_values) .val. Unreadable files keep digest.ok == false
- * rather than failing, so optional sidecars report as absent.
+ * Digest the artifact files of `prefix`: .trc, .sym, .crit, .meta.
+ * Unreadable files keep digest.ok == false rather than failing, so
+ * missing sidecars report as absent.
  */
-std::vector<ArtifactDigest> digestArtifacts(const std::string &prefix,
-                                            bool include_values = false);
+std::vector<ArtifactDigest> digestArtifacts(const std::string &prefix);
 
 /**
  * Fold a digest list into one FNV-1a-64 identity for the whole
@@ -66,11 +66,10 @@ std::vector<ArtifactDigest> digestArtifacts(const std::string &prefix,
 uint64_t combinedArtifactDigest(const std::vector<ArtifactDigest> &digests);
 
 /**
- * The digests as the JSON object both metrics reports embed: path ->
+ * The digests as the JSON object the metrics reports embed: path ->
  * {"bytes": N, "fnv1a64": "0x..."} with null for unreadable files.
  */
-std::string artifactDigestsJson(const std::string &prefix,
-                                bool include_values = false);
+std::string artifactDigestsJson(const std::vector<ArtifactDigest> &digests);
 
 } // namespace trace
 } // namespace webslice

@@ -116,6 +116,19 @@ struct Record
 
     bool taken() const { return flags & kFlagTaken; }
     bool indirect() const { return flags & kFlagIndirect; }
+
+    /**
+     * Field-wise equality, the one definition every record comparison
+     * uses. `reserved` is left out: files written before it existed may
+     * carry garbage there, and readers ignore it.
+     */
+    bool
+    operator==(const Record &o) const
+    {
+        return addr == o.addr && pc == o.pc && aux == o.aux &&
+               tid == o.tid && kind == o.kind && flags == o.flags &&
+               rr0 == o.rr0 && rr1 == o.rr1 && rr2 == o.rr2 && rw == o.rw;
+    }
 };
 
 static_assert(sizeof(Record) == 32, "trace records must stay 32 bytes");

@@ -1,61 +1,31 @@
 /**
  * @file
- * Concrete-value sidecar for a recorded trace.
+ * Concrete values for a recorded trace.
  *
  * The trace records carry dependence structure (registers, addresses,
- * sizes) but not the concrete values that flowed through them. The value
- * log is the optional companion the verification layer compares against:
- * one 64-bit value per record (the value produced, stored, or observed by
- * that instruction) plus raw byte blobs for records whose effect is a
- * memory range — syscall read/write pseudo-records and the
+ * sizes) but not the concrete values that flowed through them. The
+ * value log is the companion the verification layer compares against:
+ * one 64-bit value per record (the value produced, stored, or observed
+ * by that instruction) plus raw byte blobs for records whose effect is
+ * a memory range — syscall read/write pseudo-records and the
  * criterion-range snapshot taken at each Marker.
  *
- * Two on-disk formats exist. v1 ("WEBVAL1") stores everything verbatim:
- * the full value array and every blob's raw bytes. v2 ("WEBVAL2") is the
- * columnar companion of the v2 trace: values are delta+varint coded and
- * LZ-compressed, syscall blobs are pooled and compressed, and Marker
- * snapshot blobs are not stored at all — the file instead carries each
- * marker's criterion ranges plus per-trace-block checkpoints of the
- * union-criterion memory image, and load() reconstructs every snapshot
- * by bounded re-execution (replaying Store values and SyscallWrite
- * blobs) from the nearest checkpoint. Reconstruction is verified at
- * save time against the live blobs; a marker whose replay does not
- * match falls back to raw storage, so loads are bit-identical to v1 by
- * construction.
- *
- * webslice-record writes it as <prefix>.val next to the trace;
- * webslice-check loads it to verify that replaying only the in-slice
- * instructions reproduces the criterion bytes bit-identically.
+ * It exists only in memory. sim::Machine::enableValueLog captures it
+ * while recording, and webslice-check obtains it by re-executing the
+ * recording's .scn (scenario/recording.hh) instead of reading it from
+ * disk.
  */
 
 #ifndef WEBSLICE_TRACE_VALUE_LOG_HH
 #define WEBSLICE_TRACE_VALUE_LOG_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "trace/record.hh"
-
 namespace webslice {
 namespace trace {
-
-class CriteriaSet;
-
-/** The two on-disk value-log formats. */
-enum class ValueLogFormat : uint8_t
-{
-    V1 = 1, ///< Raw value array + raw blobs.
-    V2 = 2, ///< Columnar values, pooled blobs, checkpointed snapshots.
-};
-
-/**
- * Identify a value-log file's format from its magic; fatal (with the
- * path) when the file is unreadable or carries neither magic.
- */
-ValueLogFormat sniffValueLogFormat(const std::string &path);
 
 /** Per-record concrete values plus per-record effect-range byte blobs. */
 struct ValueLog
@@ -79,36 +49,6 @@ struct ValueLog
         auto it = blobs.find(index);
         return it == blobs.end() ? nullptr : &it->second;
     }
-
-    /** Write the v1 binary sidecar; fatal on I/O failure. */
-    void save(const std::string &path) const;
-
-    /**
-     * Write the sidecar in `format`. v2 needs the record array (to
-     * place checkpoints and classify blob-carrying records) and the
-     * criteria set (each Marker's merged ranges define its snapshot
-     * layout); both may be empty for v1.
-     */
-    void save(const std::string &path, ValueLogFormat format,
-              std::span<const Record> records,
-              const CriteriaSet &criteria) const;
-
-    /**
-     * Load a v1 sidecar; replaces contents. Truncation, a bad header,
-     * or trailing garbage fail loudly — a partial value log would make
-     * the soundness checker's byte-compares vacuous. Fatal on a v2
-     * file: snapshot reconstruction needs the record array, so callers
-     * with records at hand must use the overload below.
-     */
-    void load(const std::string &path);
-
-    /**
-     * Load a sidecar of either format, sniffing the magic. For v2 the
-     * Marker snapshot blobs are reconstructed by replaying `records`
-     * (Store values, SyscallWrite blobs) from the nearest per-block
-     * checkpoint; the result is bit-identical to what save() was given.
-     */
-    void load(const std::string &path, std::span<const Record> records);
 };
 
 } // namespace trace

@@ -3,258 +3,8 @@
 namespace webslice {
 namespace workloads {
 
-using browser::BrowserConfig;
 using browser::ResourceType;
 using browser::SiteContent;
-
-namespace {
-
-uint64_t
-scaled(double paper_bytes)
-{
-    return static_cast<uint64_t>(paper_bytes * kContentScale);
-}
-
-} // namespace
-
-SiteSpec
-amazonDesktopSpec()
-{
-    SiteSpec spec;
-    spec.name = "Amazon (desktop view): Load";
-    spec.url = "https://amazon.example/";
-    spec.seed = 0xA31;
-
-    spec.browser.viewportWidth = 1280;
-    spec.browser.viewportHeight = 720;
-    spec.browser.rasterThreads = 3; // the paper saw 3 rasterizers here
-    spec.browser.mobile = false;
-
-    spec.page.sections = 5;
-    spec.page.itemsPerSection = 4;
-    spec.page.hiddenMenus = 3;
-    spec.page.wordsPerParagraph = 36;
-    spec.page.carousel = true;
-    spec.page.adBanner = true; // animated deal/ad box
-    spec.page.fixedHeader = true;
-
-    // Paper Table I: Amazon 1.6 MB JS+CSS, 58% unused after load,
-    // 54% unused after browsing.
-    spec.js.targetBytes = scaled(1.2e6);
-    spec.js.loadFraction = 0.40;
-    spec.js.handlerFraction = 0.07;
-    spec.css.targetBytes = scaled(0.4e6);
-    spec.css.usedFraction = 0.50;
-
-    // Load-only benchmark: the trace the paper collects ends when the
-    // page is completely loaded, so keep only a short settle tail.
-    spec.sessionMs = 400;
-    return spec;
-}
-
-SiteSpec
-amazonMobileSpec()
-{
-    SiteSpec spec = amazonDesktopSpec();
-    spec.name = "Amazon (mobile view): Load";
-    spec.seed = 0xA32;
-
-    spec.browser.viewportWidth = 360; // emulated mobile display
-    spec.browser.viewportHeight = 640;
-    spec.browser.rasterThreads = 2;
-    spec.browser.mobile = true;
-
-    // The site serves the same DOM and scripts; what shrinks is the
-    // display — so display lists stay long while the rastered output is
-    // tiny, which is exactly why the paper's mobile rasterizer slice
-    // collapses to 13-14%. The coarser cell granularity models the small
-    // emulated display's pixel count, and the mobile view swaps the
-    // heavy ad banner for a small progress spinner.
-    spec.browser.cellPx = 64;
-    spec.page.adBanner = false;
-    spec.page.spinner = true;
-
-    spec.js.targetBytes = scaled(0.75e6);
-    spec.js.loadFraction = 0.42;
-    spec.css.targetBytes = scaled(0.25e6);
-    spec.sessionMs = 400;
-    return spec;
-}
-
-SiteSpec
-googleMapsSpec()
-{
-    SiteSpec spec;
-    spec.name = "Google Maps: Load";
-    spec.url = "https://maps.example/";
-    spec.seed = 0x6A5;
-
-    spec.browser.viewportWidth = 1280;
-    spec.browser.viewportHeight = 720;
-    spec.browser.rasterThreads = 2;
-
-    spec.page.sections = 1; // a results sidebar, not a shopping page
-    spec.page.itemsPerSection = 4;
-    spec.page.hiddenMenus = 2;
-    spec.page.mapCanvas = true;
-    spec.page.bigMapImage = true; // the viewport-filling map raster
-    spec.page.mapTiles = 4;
-    spec.page.adBanner = true;    // sponsored-pin/ad overlay
-    spec.page.fixedHeader = true;
-
-    // Paper Table I: Google Maps 3.9 MB, 49% unused after load.
-    spec.js.targetBytes = scaled(3.0e6);
-    spec.js.loadFraction = 0.50;
-    spec.js.handlerFraction = 0.05;
-    spec.css.targetBytes = scaled(0.9e6);
-    spec.css.usedFraction = 0.52;
-
-    spec.imageBytes = 2048;
-    spec.sessionMs = 400;
-    return spec;
-}
-
-SiteSpec
-bingSpec()
-{
-    SiteSpec spec;
-    spec.name = "Bing: Load + Browse";
-    spec.url = "https://bing.example/";
-    spec.seed = 0xB16;
-
-    spec.browser.viewportWidth = 1280;
-    spec.browser.viewportHeight = 720;
-    spec.browser.rasterThreads = 2;
-
-    spec.page.sections = 4;
-    spec.page.itemsPerSection = 4;
-    spec.page.hiddenMenus = 1;
-    spec.page.newsPane = true;
-    spec.page.searchBox = true;
-    spec.page.adBanner = true; // animated news/ad widget
-    spec.page.fixedHeader = true;
-
-    // Paper Table I: Bing 199 KB at load (52% unused), growing to
-    // 206 KB while browsing (40% unused).
-    spec.js.targetBytes = scaled(150e3);
-    spec.js.loadFraction = 0.44;
-    spec.js.handlerFraction = 0.20;
-    spec.css.targetBytes = scaled(49e3);
-    spec.css.usedFraction = 0.55;
-
-    // The browse session (the paper's: open+close the top-right menu,
-    // roll the news pane, type a search term).
-    spec.sessionMs = 9000;
-    spec.actions = {
-        {UserAction::Kind::Click, 2000, 0, "btn-menu"},
-        {UserAction::Kind::Click, 3200, 0, "btn-menu"},
-        {UserAction::Kind::Click, 4400, 0, "btn-roll"},
-        {UserAction::Kind::Key, 5600, 0, "searchbox"},
-        {UserAction::Kind::Key, 6000, 0, "searchbox"},
-        {UserAction::Kind::Key, 6400, 0, "searchbox"},
-        {UserAction::Kind::Key, 6800, 0, "searchbox"},
-    };
-    spec.lazyJsBytes = scaled(7e3);
-    spec.lazyJsAtMs = 3600;
-    return spec;
-}
-
-SiteSpec
-amazonFigure2Spec()
-{
-    // The Figure 2 session: amazon.com loaded, scrolled down and up a
-    // little, two photo-roll clicks, and a menu open.
-    SiteSpec spec = amazonDesktopSpec();
-    spec.name = "amazon.com browsing session (Figure 2)";
-    spec.sessionMs = 11000;
-    spec.actions = {
-        {UserAction::Kind::Scroll, 3000, 400, ""},
-        {UserAction::Kind::Scroll, 3800, 300, ""},
-        {UserAction::Kind::Scroll, 4800, -500, ""},
-        {UserAction::Kind::Click, 6200, 0, "btn-roll"},
-        {UserAction::Kind::Click, 7400, 0, "btn-roll"},
-        {UserAction::Kind::Click, 9000, 0, "btn-menu"},
-    };
-    return spec;
-}
-
-std::vector<SiteSpec>
-paperBenchmarks()
-{
-    return {amazonDesktopSpec(), amazonMobileSpec(), googleMapsSpec(),
-            bingSpec()};
-}
-
-const std::vector<BuiltinSite> &
-builtinSites()
-{
-    static const std::vector<BuiltinSite> sites = {
-        {"amazon-desktop",
-         "Amazon desktop view, load only (seed 0xa31, 3 rasterizers)",
-         amazonDesktopSpec},
-        {"amazon-mobile",
-         "Amazon emulated mobile view 360x640, load only (seed 0xa32)",
-         amazonMobileSpec},
-        {"maps",
-         "Google Maps, load only; the largest JS+CSS payload (seed 0x6a5)",
-         googleMapsSpec},
-        {"bing",
-         "Bing, load + browse session with menu/roll/typing (seed 0xb16)",
-         bingSpec},
-        {"fig2",
-         "Figure 2 session: amazon.com with scrolls, photo clicks, menu",
-         amazonFigure2Spec},
-    };
-    return sites;
-}
-
-const BuiltinSite *
-findBuiltinSite(const std::string &id)
-{
-    for (const auto &site : builtinSites()) {
-        if (id == site.id)
-            return &site;
-    }
-    return nullptr;
-}
-
-SiteSpec
-withBrowseSession(SiteSpec spec)
-{
-    if (!spec.actions.empty())
-        return spec; // already a browse benchmark
-
-    spec.name += " + Browse";
-    spec.sessionMs = 9000;
-    // Typical-browse script: open and close the menu, roll the photos,
-    // scroll around.
-    spec.actions = {
-        {UserAction::Kind::Click, 2500, 0, "btn-menu"},
-        {UserAction::Kind::Scroll, 3400, 350, ""},
-        {UserAction::Kind::Click, 4400, 0, "btn-roll"},
-        {UserAction::Kind::Click, 5600, 0, "btn-roll"},
-        {UserAction::Kind::Scroll, 6500, -350, ""},
-        {UserAction::Kind::Click, 7400, 0, "btn-menu"},
-    };
-    if (spec.page.mapCanvas) {
-        // Google Maps keeps downloading code while browsed (Table I's
-        // total grows from 3.9 MB to 4.6 MB, partially used).
-        spec.lazyJsBytes = static_cast<uint64_t>(0.7e6 * kContentScale);
-        spec.lazyJsAtMs = 4000;
-        spec.lazyJsLoadFraction = 0.75;
-    }
-    return spec;
-}
-
-SiteSpec
-withoutBrowseSession(SiteSpec spec)
-{
-    spec.name = "Bing: Load";
-    spec.actions.clear();
-    spec.lazyJsBytes = 0;
-    spec.sessionMs = 400;
-    return spec;
-}
 
 SiteContent
 buildSiteContent(const SiteSpec &spec)

@@ -1,22 +1,14 @@
 /**
  * @file
- * The paper's four benchmarks as site specifications, plus the runner
- * that executes one benchmark end to end on a fresh simulated machine.
+ * The site specification a session is built from, the synthesized
+ * content it yields, and the result of running it end to end.
  *
- * Benchmarks (Section IV-B):
- *   - Amazon, desktop view — load only; 3 rasterizer threads.
- *   - Amazon, emulated mobile view (360x640) — load only; much simpler
- *     first view, hence a much shorter trace.
- *   - Google Maps — load only; the largest JS+CSS payload.
- *   - Bing — load + ~30 s browse: open/close the top-right menu, click
- *     the news-pane roll button, type a term in the search bar.
- *
- * Figure 2 uses a fifth session: amazon.com loaded, scrolled down and
- * up, two photo-roll clicks, then a menu open.
- *
- * Byte volumes are the paper's Table I values scaled by contentScale
- * (default 1/8) so that traces stay benchmark-sized; all reported
- * percentages are scale-invariant.
+ * The paper's four benchmarks (Section IV-B) and the other named
+ * sessions are not compiled in: they are the .scn files checked in
+ * under scenarios/, embedded by the scenario library
+ * (scenario/builtins.hh). Their byte volumes are the paper's Table I
+ * values scaled by kContentScale (1/8) so that traces stay
+ * benchmark-sized; all reported percentages are scale-invariant.
  */
 
 #ifndef WEBSLICE_WORKLOADS_SITES_HH
@@ -69,52 +61,16 @@ struct SiteSpec
     size_t imageBytes = 3072;
 
     /**
-     * Record a value log alongside the trace (one written value per
-     * record plus criterion snapshots) so the verification layer can
-     * compare slice replays bit-for-bit. Off by default: the log costs
-     * 8 bytes per record.
+     * Capture the value log while running (one written value per record
+     * plus criterion snapshots) so the verification layer can compare
+     * slice replays bit-for-bit. Not part of the .scn text: only the
+     * re-execution of a recording (scenario/recording.hh) sets it.
      */
     bool captureValues = false;
 };
 
 /** Content-volume scale relative to the paper's Table I byte counts. */
 constexpr double kContentScale = 0.125;
-
-SiteSpec amazonDesktopSpec();
-SiteSpec amazonMobileSpec();
-SiteSpec googleMapsSpec();
-SiteSpec bingSpec();
-
-/** The Figure 2 session (amazon.com with scrolls, photo clicks, menu). */
-SiteSpec amazonFigure2Spec();
-
-/**
- * Derive the Table I "Load and Browse" variant of a load-only spec: a
- * ~30s-equivalent session of typical interactions (menu open/close,
- * photo-roll clicks, scrolls), plus the extra script Maps/Bing download
- * while being browsed.
- */
-SiteSpec withBrowseSession(SiteSpec spec);
-
-/** Strip the browse session (Table I "Only Load" variant of Bing). */
-SiteSpec withoutBrowseSession(SiteSpec spec);
-
-/** All four Table II benchmarks in paper order. */
-std::vector<SiteSpec> paperBenchmarks();
-
-/** One enumerable built-in workload (webslice-record --list, describe). */
-struct BuiltinSite
-{
-    const char *id;      ///< CLI name, e.g. "amazon-desktop".
-    const char *summary; ///< One-line description for listings.
-    SiteSpec (*factory)();
-};
-
-/** Registry of the named built-in workloads, in CLI/paper order. */
-const std::vector<BuiltinSite> &builtinSites();
-
-/** Look up a built-in by CLI id; nullptr when unknown. */
-const BuiltinSite *findBuiltinSite(const std::string &id);
 
 /** Result of one end-to-end benchmark run. */
 struct RunResult
@@ -166,9 +122,7 @@ struct RunResult
 /** Build the SiteContent payloads for a spec (deterministic). */
 browser::SiteContent buildSiteContent(const SiteSpec &spec);
 
-// The end-to-end runner lives in scenario/run.hh (scenario::runSite):
-// specs are compiled into a Scenario and executed by the one scenario
-// engine, so hard-coded benchmarks and .scn files share every code path.
+// The end-to-end runner is scenario::runScenario (scenario/run.hh).
 
 } // namespace workloads
 } // namespace webslice

@@ -5,7 +5,7 @@
  * must accept every slice the backward pass produces (in both criteria
  * modes, with and without a value log) and reject corrupted verdicts;
  * the race detector must respect futex and channel ordering; plus value
- * log persistence faults and the criteria overlap-merge regression.
+ * capture and the criteria overlap-merge regression.
  */
 
 #include <gtest/gtest.h>
@@ -588,85 +588,7 @@ TEST(RaceDetector, FutexCriticalSectionsOrderManyGranules)
     EXPECT_EQ(result.accessesChecked, 40u);
 }
 
-// ---- value log persistence ----------------------------------------------
-
-TEST(ValueLog, SaveLoadRoundTrip)
-{
-    trace::ValueLog log;
-    log.values = {1, 2, 3, 0xdeadbeef, 5};
-    log.blobs[3] = {0xAA, 0xBB, 0xCC};
-    log.blobs[0] = {};
-
-    const std::string path = tempPath("roundtrip.val");
-    log.save(path);
-
-    trace::ValueLog loaded;
-    loaded.load(path);
-    EXPECT_EQ(loaded.values, log.values);
-    EXPECT_EQ(loaded.blobs, log.blobs);
-    EXPECT_EQ(loaded.valueAt(3), 0xdeadbeefull);
-    ASSERT_NE(loaded.blobAt(3), nullptr);
-    EXPECT_EQ(loaded.blobAt(1), nullptr);
-}
-
-TEST(ValueLogFaults, MissingFileFatal)
-{
-    trace::ValueLog log;
-    EXPECT_EXIT(log.load(tempPath("no-such.val")),
-                ::testing::ExitedWithCode(1), "cannot read value log");
-}
-
-TEST(ValueLogFaults, BadMagicFatal)
-{
-    const std::string path = tempPath("badmagic.val");
-    std::ofstream(path, std::ios::binary) << "NOTAVLOG and then some";
-    trace::ValueLog log;
-    EXPECT_EXIT(log.load(path), ::testing::ExitedWithCode(1),
-                "bad value log header");
-}
-
-TEST(ValueLogFaults, TruncatedFatal)
-{
-    trace::ValueLog log;
-    log.values = {1, 2, 3};
-    const std::string path = tempPath("trunc.val");
-    log.save(path);
-    std::ifstream in(path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() - 5));
-    out.close();
-    trace::ValueLog fresh;
-    EXPECT_EXIT(fresh.load(path), ::testing::ExitedWithCode(1),
-                "truncated value log");
-}
-
-TEST(ValueLogFaults, TrailingGarbageFatal)
-{
-    trace::ValueLog log;
-    log.values = {7};
-    const std::string path = tempPath("trailing.val");
-    log.save(path);
-    std::ofstream(path, std::ios::binary | std::ios::app) << "extra";
-    trace::ValueLog fresh;
-    EXPECT_EXIT(fresh.load(path), ::testing::ExitedWithCode(1),
-                "trailing garbage");
-}
-
-TEST(ValueLogFaults, BlobBeyondRecordCountFatal)
-{
-    trace::ValueLog log;
-    log.values = {1};
-    log.blobs[5] = {0x11};
-    const std::string path = tempPath("blobidx.val");
-    log.save(path);
-    trace::ValueLog fresh;
-    EXPECT_EXIT(fresh.load(path), ::testing::ExitedWithCode(1),
-                "beyond record count");
-}
+// ---- value capture -----------------------------------------------------
 
 TEST(ValueLog, MachineRecordsValuesAndCriterionSnapshots)
 {

@@ -4,7 +4,8 @@
  * sequential walk it must match.
  *
  * The contract under test is brutal and simple: for every trace, every
- * criteria mode, every ablation, every replay job count, and every
+ * criteria mode, every ablation, every replay job count (which no
+ * longer changes how the replay runs, and must not matter), and every
  * epoch partition — including adversarial boundaries forced through
  * syscall groups, pending branches, live registers, and open call
  * frames — a plan replay must be bit-identical to the sequential
@@ -172,7 +173,7 @@ TEST(EpochSlicer, RegisterLivenessCrossesEpochBoundary)
 {
     // The producer imm lands in epoch 0, the store consuming its
     // register in epoch 1: the boundary cuts straight through a live
-    // register, which the stitched live-out must carry.
+    // register, which the replayed live-out must carry.
     Machine machine;
     const auto tid = machine.addThread("main");
     Ctx ctx(machine, tid);
@@ -199,7 +200,7 @@ TEST(EpochSlicer, PendingBranchResolvesInEarlierEpoch)
 {
     // The live store joins in the newest epoch and queues its guarding
     // branch as pending; the branch's nearest preceding instance lives
-    // in an earlier epoch, so the pending set must survive the stitch.
+    // in an earlier epoch, so the pending set must survive the boundary.
     Machine machine;
     const auto tid = machine.addThread("main");
     const auto func = machine.registerFunction("paint::fill");

@@ -3,9 +3,12 @@
  * Scenario subsystem tests.
  *
  * The contracts under test, in order of importance:
- *  - .scn ports of the paper benchmarks schedule the identical task
- *    sequence as the hard-coded spec factories, so the recorded traces
- *    are record-for-record identical (the tentpole determinism claim).
+ *  - A recording is defined by its .scn alone: re-executing a published
+ *    recording's .scn reproduces its trace record for record and its
+ *    concrete values bit for bit, and any disagreement with the .trc is
+ *    fatal with the record index.
+ *  - The built-ins are the checked-in scenarios/ files, embedded byte
+ *    for byte, canonical, and named by their file stems.
  *  - The DSL round-trips: serialize -> parse -> serialize is a fixed
  *    point, for every verb.
  *  - Malformed scenarios die loudly with path:line context.
@@ -17,12 +20,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 
+#include "scenario/builtins.hh"
 #include "scenario/generator.hh"
+#include "scenario/recording.hh"
 #include "scenario/run.hh"
 #include "scenario/scenario.hh"
 #include "support/metrics.hh"
+#include "support/strings.hh"
+#include "trace/trace_file.hh"
 #include "workloads/sites.hh"
 
 #ifndef WEBSLICE_SOURCE_DIR
@@ -42,6 +52,15 @@ scnPath(const std::string &stem)
     return std::string(WEBSLICE_SOURCE_DIR) + "/scenarios/" + stem;
 }
 
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
 /** Record-for-record equality with a useful first-mismatch message. */
 void
 expectSameTrace(const std::vector<trace::Record> &a,
@@ -49,80 +68,249 @@ expectSameTrace(const std::vector<trace::Record> &a,
 {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
-        const auto &ra = a[i];
-        const auto &rb = b[i];
-        const bool same = ra.addr == rb.addr && ra.pc == rb.pc &&
-                          ra.aux == rb.aux && ra.tid == rb.tid &&
-                          ra.kind == rb.kind && ra.flags == rb.flags &&
-                          ra.rr0 == rb.rr0 && ra.rr1 == rb.rr1 &&
-                          ra.rr2 == rb.rr2 && ra.rw == rb.rw;
-        ASSERT_TRUE(same) << "first mismatch at record " << i << ": pc "
-                          << ra.pc << " vs " << rb.pc << ", kind "
-                          << static_cast<int>(ra.kind) << " vs "
-                          << static_cast<int>(rb.kind);
+        ASSERT_TRUE(a[i] == b[i])
+            << "first mismatch at record " << i << ": pc " << a[i].pc
+            << " vs " << b[i].pc << ", kind "
+            << static_cast<int>(a[i].kind) << " vs "
+            << static_cast<int>(b[i].kind);
     }
 }
 
-// ---- paper benchmark ports ---------------------------------------------
-
-struct BenchmarkPort
+/** A lo-knob generated scenario: every verb family, quick to record. */
+Scenario
+smallGenerated(uint64_t seed, int workers)
 {
-    const char *scn;
-    workloads::SiteSpec (*factory)();
-};
-
-class ScenarioPorts : public ::testing::TestWithParam<BenchmarkPort>
-{};
-
-TEST_P(ScenarioPorts, ScnFileMatchesFactoryBitForBit)
-{
-    const auto &port = GetParam();
-    const Scenario parsed =
-        scenario::parseScenarioFile(scnPath(port.scn));
-    const auto spec_run = scenario::runSite(port.factory());
-    const auto scn_run = scenario::runScenario(parsed);
-
-    expectSameTrace(spec_run.records(), scn_run.records());
-    EXPECT_EQ(spec_run.loadCompleteIndex, scn_run.loadCompleteIndex);
-    EXPECT_EQ(spec_run.jsTotalBytes, scn_run.jsTotalBytes);
-    EXPECT_EQ(spec_run.jsUsedBytes, scn_run.jsUsedBytes);
-    EXPECT_EQ(spec_run.cssTotalBytes, scn_run.cssTotalBytes);
-    EXPECT_EQ(spec_run.cssUsedBytes, scn_run.cssUsedBytes);
-    EXPECT_EQ(spec_run.spec.name, scn_run.spec.name);
+    Knobs knobs;
+    knobs.domDepth = scenario::Level::Lo;
+    knobs.cssVolume = scenario::Level::Lo;
+    knobs.jsHotness = scenario::Level::Lo;
+    knobs.images = scenario::Level::Lo;
+    knobs.workers = workers;
+    return scenario::generateScenario(seed, knobs);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PaperBenchmarks, ScenarioPorts,
-    ::testing::Values(
-        BenchmarkPort{"amazon_mobile.scn", workloads::amazonMobileSpec},
-        BenchmarkPort{"bing.scn", workloads::bingSpec}),
-    [](const auto &info) {
-        std::string name = info.param.scn;
-        return name.substr(0, name.find('.'));
-    });
-
-// The desktop/maps ports record multi-minute traces; CI runs all four
-// through cmp on the recorded files instead. Here we still verify their
-// .scn files parse back to the exact factory spec via the serializer.
-TEST(ScenarioPorts, HeavyPortsSerializeIdentically)
+std::string
+tempPrefix(const std::string &stem)
 {
-    const struct
+    return std::string(::testing::TempDir()) + stem;
+}
+
+/** Delete the five artifacts recordScenario writes under `prefix`. */
+void
+removeRecording(const std::string &prefix)
+{
+    for (const char *ext : {".trc", ".sym", ".crit", ".meta", ".scn"})
+        std::filesystem::remove(prefix + ext);
+}
+
+// ---- built-in scenarios --------------------------------------------------
+
+TEST(Builtins, EveryCheckedInFileIsEmbeddedVerbatim)
+{
+    size_t files = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(scnPath(""))) {
+        if (entry.path().extension() != ".scn")
+            continue;
+        ++files;
+        const std::string stem = entry.path().stem().string();
+        SCOPED_TRACE(stem);
+        std::string id = stem;
+        std::replace(id.begin(), id.end(), '_', '-');
+        const scenario::Builtin *builtin = scenario::findBuiltin(id);
+        ASSERT_NE(builtin, nullptr);
+        EXPECT_EQ(builtin->file, "scenarios/" + stem + ".scn");
+
+        const std::string text = readFile(entry.path().string());
+        EXPECT_EQ(builtin->text, text);
+        // Canonical: serializing the parse reproduces the file.
+        const Scenario parsed = scenario::builtinScenario(id);
+        EXPECT_EQ(scenario::serializeScenario(parsed), text);
+        EXPECT_EQ(builtin->name, parsed.name);
+    }
+    EXPECT_EQ(scenario::builtins().size(), files);
+    for (const char *id : scenario::kPaperBuiltins)
+        EXPECT_NE(scenario::findBuiltin(id), nullptr) << id;
+    EXPECT_EQ(scenario::findBuiltin("no-such-site"), nullptr);
+}
+
+TEST(BuiltinsDeath, UnknownIdIsFatal)
+{
+    EXPECT_EXIT(scenario::builtinScenario("no-such-site"),
+                ::testing::ExitedWithCode(1),
+                "unknown built-in scenario 'no-such-site'");
+}
+
+// ---- re-executing a recording --------------------------------------------
+
+/** Values captured while recording `sc` directly, as a reference. */
+trace::ValueLog
+capturedValues(Scenario sc)
+{
+    sc.site.captureValues = true;
+    const auto run = scenario::runScenario(sc);
+    return *run.machine->valueLog();
+}
+
+TEST(Reexecution, ReproducesTheRecordedValuesBitForBit)
+{
+    // The property that lets a recording store no values: re-running
+    // its published .scn yields exactly what capturing during the
+    // recording would have stored.
+    std::vector<std::pair<std::string, Scenario>> cases;
+    for (const uint64_t seed : {3, 11}) {
+        for (const int workers : {0, 2}) {
+            cases.emplace_back(format("gen-%llu-w%d",
+                                      static_cast<unsigned long long>(seed),
+                                      workers),
+                               smallGenerated(seed, workers));
+        }
+    }
+    cases.emplace_back("amazon-mobile",
+                       scenario::builtinScenario("amazon-mobile"));
+
+    for (const auto &[name, sc] : cases) {
+        SCOPED_TRACE(name);
+        const std::string prefix = tempPrefix("reexec-" + name);
+        scenario::recordScenario(sc, prefix, trace::TraceFormat::V1);
+        const auto records = trace::loadTrace(prefix + ".trc");
+
+        const auto values = scenario::reexecuteRecording(prefix, records);
+        ASSERT_TRUE(values.has_value());
+        const trace::ValueLog reference = capturedValues(sc);
+        EXPECT_EQ(values->values.size(), records.size());
+        EXPECT_EQ(values->values, reference.values);
+        EXPECT_EQ(values->blobs, reference.blobs);
+        EXPECT_FALSE(values->blobs.empty());
+        removeRecording(prefix);
+    }
+}
+
+TEST(Reexecution, NoScenarioMeansNoValues)
+{
+    const std::string prefix = tempPrefix("reexec-bare");
+    scenario::recordScenario(smallGenerated(5, 0), prefix,
+                             trace::TraceFormat::V1);
+    std::filesystem::remove(prefix + ".scn");
+    EXPECT_FALSE(scenario::reexecuteRecording(
+                     prefix, trace::loadTrace(prefix + ".trc"))
+                     .has_value());
+    removeRecording(prefix);
+}
+
+/** Rewrite <prefix>.trc with `records`, then re-execute against it. */
+void
+reexecuteAgainst(const std::string &prefix,
+                 const std::vector<trace::Record> &records)
+{
     {
-        const char *scn;
-        workloads::SiteSpec (*factory)();
-    } heavy[] = {
-        {"amazon_desktop.scn", workloads::amazonDesktopSpec},
-        {"maps.scn", workloads::googleMapsSpec},
-    };
-    for (const auto &port : heavy) {
-        std::ifstream in(scnPath(port.scn));
-        ASSERT_TRUE(in.is_open()) << port.scn;
-        std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-        EXPECT_EQ(text, scenario::serializeScenario(
-                            scenario::scenarioFromSpec(port.factory())))
-            << port.scn;
+        trace::TraceWriter writer(prefix + ".trc");
+        for (const auto &rec : records)
+            writer.append(rec);
     }
+    scenario::reexecuteRecording(prefix, trace::loadTrace(prefix + ".trc"));
+}
+
+TEST(ReexecutionDeath, FlippedRecordFieldNamesTheRecord)
+{
+    const std::string prefix = tempPrefix("reexec-flip");
+    scenario::recordScenario(smallGenerated(5, 0), prefix,
+                             trace::TraceFormat::V1);
+    auto records = trace::loadTrace(prefix + ".trc");
+    const size_t victim = records.size() / 2;
+    records[victim].aux ^= 1;
+    EXPECT_EXIT(reexecuteAgainst(prefix, records),
+                ::testing::ExitedWithCode(1),
+                prefix + ".scn does not reproduce " + prefix +
+                    ".trc: record " + std::to_string(victim) + " differs");
+    removeRecording(prefix);
+}
+
+TEST(ReexecutionDeath, ShortTraceNamesTheMissingRecord)
+{
+    const std::string prefix = tempPrefix("reexec-short");
+    scenario::recordScenario(smallGenerated(5, 0), prefix,
+                             trace::TraceFormat::V1);
+    auto records = trace::loadTrace(prefix + ".trc");
+    records.pop_back();
+    EXPECT_EXIT(reexecuteAgainst(prefix, records),
+                ::testing::ExitedWithCode(1),
+                prefix + ".scn does not reproduce " + prefix +
+                    ".trc: record " + std::to_string(records.size()) +
+                    " is missing from " + prefix + ".trc");
+    removeRecording(prefix);
+}
+
+TEST(ReexecutionDeath, UnparsableScenarioNamesFileAndLine)
+{
+    const std::string prefix = tempPrefix("reexec-garbled");
+    scenario::recordScenario(smallGenerated(5, 0), prefix,
+                             trace::TraceFormat::V1);
+    std::ofstream(prefix + ".scn") << "scenario \"garbled\"\n"
+                                   << "site {\n"
+                                   << "  volume 11\n"
+                                   << "}\n";
+    EXPECT_EXIT(scenario::reexecuteRecording(
+                    prefix, trace::loadTrace(prefix + ".trc")),
+                ::testing::ExitedWithCode(1),
+                prefix + ".scn:3: .*volume");
+    removeRecording(prefix);
+}
+
+TEST(RecordingDeath, RefusesToOverwriteItsOwnScenarioFile)
+{
+    // `webslice-scenario run X.scn X`: the recording's canonical .scn
+    // would replace the (commented) input.
+    const std::string prefix = tempPrefix("self");
+    removeRecording(prefix);
+    const std::string scn = prefix + ".scn";
+    const std::string text =
+        "# hand-written, with comments\n" +
+        scenario::serializeScenario(smallGenerated(5, 0));
+    std::ofstream(scn) << text;
+    const Scenario sc = scenario::parseScenarioFile(scn);
+
+    // The same file under another spelling is refused too.
+    const std::string dir = std::string(::testing::TempDir());
+    const std::string respelled = dir + "./self.scn";
+    for (const std::string &source : {scn, respelled}) {
+        EXPECT_EXIT(scenario::recordScenario(sc, prefix,
+                                             trace::TraceFormat::V1,
+                                             source),
+                    ::testing::ExitedWithCode(1),
+                    "self.scn is the scenario file .*self.scn");
+    }
+    EXPECT_EQ(readFile(scn), text);
+    EXPECT_FALSE(std::filesystem::exists(prefix + ".trc"));
+
+    // A different prefix publishes the canonical text beside the trace.
+    const std::string other = tempPrefix("self-copy");
+    scenario::recordScenario(sc, other, trace::TraceFormat::V1, scn);
+    EXPECT_EQ(readFile(other + ".scn"), scenario::serializeScenario(sc));
+    EXPECT_EQ(readFile(scn), text);
+    removeRecording(prefix);
+    removeRecording(other);
+}
+
+TEST(Recording, PublishesAllFiveArtifacts)
+{
+    // webslice-record and webslice-scenario both publish through
+    // recordScenario; .meta's loadOnly comes from isLoadOnly.
+    const std::string prefix = tempPrefix("publish");
+    const Scenario sc = smallGenerated(7, 2);
+    const auto summary =
+        scenario::recordScenario(sc, prefix, trace::TraceFormat::V2);
+    EXPECT_EQ(trace::sniffTraceFormat(prefix + ".trc"),
+              trace::TraceFormat::V2);
+    EXPECT_EQ(trace::loadTrace(prefix + ".trc").size(), summary.records);
+    for (const char *ext : {".sym", ".crit", ".meta", ".scn"})
+        EXPECT_TRUE(std::filesystem::exists(prefix + ext)) << ext;
+    const std::string meta = readFile(prefix + ".meta");
+    EXPECT_NE(meta.find("benchmark " + sc.site.name + "\n"),
+              std::string::npos);
+    // Two workers make the session more than its load.
+    EXPECT_NE(meta.find("loadOnly 0\n"), std::string::npos);
+    removeRecording(prefix);
 }
 
 // ---- DSL round-trip ----------------------------------------------------
@@ -382,10 +570,13 @@ TEST(ScenarioGenerator, KnobParsingRejectsJunk)
 
 // ---- new verbs actually execute ----------------------------------------
 
-workloads::SiteSpec
-tinySpec()
+/** A one-tab, no-worker scenario around a tiny site. */
+Scenario
+tinyScenario()
 {
-    workloads::SiteSpec spec;
+    Scenario sc;
+    sc.name = "tiny";
+    workloads::SiteSpec &spec = sc.site;
     spec.name = "tiny";
     spec.url = "https://tiny.example/";
     spec.seed = 0x5;
@@ -395,12 +586,12 @@ tinySpec()
     spec.js.targetBytes = 3000;
     spec.css.targetBytes = 1500;
     spec.sessionMs = 2500;
-    return spec;
+    return sc;
 }
 
 TEST(ScenarioVerbs, PartialNavSwapsTheSubtreeAndRunsItsScript)
 {
-    Scenario sc = scenario::scenarioFromSpec(tinySpec());
+    Scenario sc = tinyScenario();
     UserAction nav;
     nav.kind = UserAction::Kind::PartialNav;
     nav.atMs = 1200;
@@ -410,7 +601,7 @@ TEST(ScenarioVerbs, PartialNavSwapsTheSubtreeAndRunsItsScript)
     nav.bytes = 1200;
     sc.extraActions.push_back(nav);
 
-    const auto base = scenario::runSite(tinySpec());
+    const auto base = scenario::runScenario(tinyScenario());
     const auto run = scenario::runScenario(sc);
     EXPECT_EQ(run.tab->partialNavsCompleted(), 1u);
     // The swap re-parses, restyles, and re-lays-out the subtree, and
@@ -421,7 +612,7 @@ TEST(ScenarioVerbs, PartialNavSwapsTheSubtreeAndRunsItsScript)
 
 TEST(ScenarioVerbs, RafLoopTicksAtVsyncCadence)
 {
-    Scenario sc = scenario::scenarioFromSpec(tinySpec());
+    Scenario sc = tinyScenario();
     UserAction raf;
     raf.kind = UserAction::Kind::RafLoop;
     raf.atMs = 1000;
@@ -435,7 +626,7 @@ TEST(ScenarioVerbs, RafLoopTicksAtVsyncCadence)
 
 TEST(ScenarioVerbs, WorkerBurstsCompleteAndAddThreads)
 {
-    Scenario sc = scenario::scenarioFromSpec(tinySpec());
+    Scenario sc = tinyScenario();
     sc.workers = 2;
     for (int w = 0; w < 2; ++w) {
         UserAction task;
@@ -458,9 +649,9 @@ TEST(ScenarioVerbs, WorkerBurstsCompleteAndAddThreads)
 
 TEST(ScenarioVerbs, TypeBurstFiresEveryKeystroke)
 {
-    workloads::SiteSpec spec = tinySpec();
-    spec.page.searchBox = true;
-    Scenario sc = scenario::scenarioFromSpec(spec);
+    Scenario sc = tinyScenario();
+    sc.site.page.searchBox = true;
+    Scenario manual = sc;
     UserAction burst;
     burst.kind = UserAction::Kind::Type;
     burst.atMs = 1000;
@@ -469,23 +660,22 @@ TEST(ScenarioVerbs, TypeBurstFiresEveryKeystroke)
     burst.intervalMs = 100;
     sc.extraActions.push_back(burst);
 
-    workloads::SiteSpec manual = spec;
     for (int k = 0; k < 4; ++k) {
-        manual.actions.push_back({UserAction::Kind::Key,
-                                  1000 + 100 * static_cast<uint64_t>(k),
-                                  0, "searchbox"});
+        manual.site.actions.push_back(
+            {UserAction::Kind::Key, 1000 + 100 * static_cast<uint64_t>(k),
+             0, "searchbox"});
     }
 
     // A type burst is sugar for count spaced keystrokes.
     const auto burst_run = scenario::runScenario(sc);
-    const auto manual_run = scenario::runSite(manual);
+    const auto manual_run = scenario::runScenario(manual);
     expectSameTrace(burst_run.records(), manual_run.records());
 }
 
 TEST(ScenarioVerbs, ExtraTabsShareTheMachine)
 {
-    Scenario sc = scenario::scenarioFromSpec(tinySpec());
-    workloads::SiteSpec second = tinySpec();
+    Scenario sc = tinyScenario();
+    workloads::SiteSpec second = tinyScenario().site;
     second.name = "tiny [tab 1]";
     second.seed = 0x6;
     sc.extraTabs.push_back(second);
@@ -495,7 +685,7 @@ TEST(ScenarioVerbs, ExtraTabsShareTheMachine)
     EXPECT_TRUE(run.extraTabs[0]->loadComplete());
     // Both documents were parsed on the one shared machine.
     EXPECT_GT(run.extraTabs[0]->pipelineUpdates(), 0u);
-    const auto solo = scenario::runSite(tinySpec());
+    const auto solo = scenario::runScenario(tinyScenario());
     EXPECT_GT(run.records().size(), solo.records().size());
 }
 

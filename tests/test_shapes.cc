@@ -1,7 +1,8 @@
 /**
  * @file
  * Regression locks on the paper's qualitative findings, on scaled-down
- * versions of the real benchmark specs (fast enough for ctest). These are
+ * versions of the built-in benchmark scenarios (fast enough for ctest).
+ * These are
  * the claims the reproduction stands on; if a substrate change breaks an
  * ordering, this suite — not a bench rerun — should catch it.
  */
@@ -18,6 +19,7 @@
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
 #include "slicer/slicer.hh"
+#include "scenario/builtins.hh"
 #include "scenario/generator.hh"
 #include "scenario/run.hh"
 #include "workloads/sites.hh"
@@ -25,18 +27,20 @@
 namespace webslice {
 namespace {
 
-/** Shrink a paper spec's content so the test runs in well under a
- *  second while keeping its structural knobs. */
-workloads::SiteSpec
-shrink(workloads::SiteSpec spec)
+/** Built-in `id` with its content shrunk so the test runs in well
+ *  under a second while keeping its structural knobs. */
+scenario::Scenario
+shrink(const char *id)
 {
+    scenario::Scenario sc = scenario::builtinScenario(id);
+    workloads::SiteSpec &spec = sc.site;
     spec.js.targetBytes = std::min<uint64_t>(spec.js.targetBytes, 20000);
     spec.css.targetBytes =
         std::min<uint64_t>(spec.css.targetBytes, 7000);
     spec.page.sections = std::min(spec.page.sections, 3);
     spec.page.itemsPerSection = std::min(spec.page.itemsPerSection, 3);
     spec.imageBytes = 512;
-    return spec;
+    return sc;
 }
 
 struct ShapeRun
@@ -45,14 +49,14 @@ struct ShapeRun
     analysis::SliceBreakdown stats;
     slicer::SliceResult slice;
 
-    explicit ShapeRun(const workloads::SiteSpec &spec)
-        : run(scenario::runSite(spec))
+    explicit ShapeRun(const scenario::Scenario &sc)
+        : run(scenario::runScenario(sc))
     {
         const auto cfgs = graph::buildCfgs(run.records(),
                                            run.machine->symtab());
         const auto deps = graph::buildControlDeps(cfgs);
         slicer::SlicerOptions options;
-        if (spec.actions.empty())
+        if (sc.site.actions.empty())
             options.endIndex = run.loadCompleteIndex;
         slice = slicer::computeSlice(run.records(), cfgs, deps,
                                      run.machine->pixelCriteria(),
@@ -87,28 +91,28 @@ TEST(PaperShapes, SubstantialFractionOfWorkIsUnnecessary)
 {
     // The paper's headline: a large share of executed instructions never
     // reaches the pixels.
-    ShapeRun amazon(shrink(workloads::amazonDesktopSpec()));
+    ShapeRun amazon(shrink("amazon-desktop"));
     EXPECT_GT(amazon.slice.slicePercent(), 25.0);
     EXPECT_LT(amazon.slice.slicePercent(), 75.0);
 }
 
 TEST(PaperShapes, MainThreadOutslicesTheCompositor)
 {
-    ShapeRun amazon(shrink(workloads::amazonDesktopSpec()));
+    ShapeRun amazon(shrink("amazon-desktop"));
     EXPECT_GT(amazon.main(), amazon.compositor());
 }
 
 TEST(PaperShapes, MobileRasterizersAreFarBelowDesktop)
 {
-    ShapeRun desktop(shrink(workloads::amazonDesktopSpec()));
-    ShapeRun mobile(shrink(workloads::amazonMobileSpec()));
+    ShapeRun desktop(shrink("amazon-desktop"));
+    ShapeRun mobile(shrink("amazon-mobile"));
     EXPECT_LT(mobile.rasterAverage(), desktop.rasterAverage());
     EXPECT_LT(mobile.rasterAverage(), 30.0);
 }
 
 TEST(PaperShapes, JavaScriptDominatesLoadTimeWaste)
 {
-    ShapeRun amazon(shrink(workloads::amazonDesktopSpec()));
+    ShapeRun amazon(shrink("amazon-desktop"));
     const auto cfgs = graph::buildCfgs(amazon.run.records(),
                                        amazon.run.machine->symtab());
     const auto dist = analysis::categorizeUnnecessary(
@@ -128,27 +132,24 @@ TEST(PaperShapes, JavaScriptDominatesLoadTimeWaste)
 TEST(PaperShapes, UnusedBytesStayInThePaperBand)
 {
     // Table I: 40-60% of JS+CSS bytes unused after load.
-    for (const auto &spec : workloads::paperBenchmarks()) {
-        auto small = shrink(spec);
-        small.actions.clear();
-        small.lazyJsBytes = 0;
-        small.sessionMs = 400;
-        const auto run = scenario::runSite(small);
+    for (const char *id : scenario::kPaperBuiltins) {
+        auto small = shrink(id);
+        small.site.actions.clear();
+        small.site.lazyJsBytes = 0;
+        small.site.sessionMs = 400;
+        const auto run = scenario::runScenario(small);
         const double unused =
             100.0 * static_cast<double>(run.unusedBytes()) /
             static_cast<double>(run.totalBytes());
-        EXPECT_GT(unused, 35.0) << spec.name;
-        EXPECT_LT(unused, 65.0) << spec.name;
+        EXPECT_GT(unused, 35.0) << id;
+        EXPECT_LT(unused, 65.0) << id;
     }
 }
 
 TEST(PaperShapes, BrowsingLowersTheUnusedShare)
 {
-    auto load_spec = shrink(workloads::withoutBrowseSession(
-        workloads::bingSpec()));
-    auto browse_spec = shrink(workloads::bingSpec());
-    const auto load_run = scenario::runSite(load_spec);
-    const auto browse_run = scenario::runSite(browse_spec);
+    const auto load_run = scenario::runScenario(shrink("bing-load"));
+    const auto browse_run = scenario::runScenario(shrink("bing"));
     const double load_unused =
         static_cast<double>(load_run.unusedBytes()) /
         static_cast<double>(load_run.totalBytes());
@@ -160,7 +161,7 @@ TEST(PaperShapes, BrowsingLowersTheUnusedShare)
 
 TEST(PaperShapes, SyscallAndPixelCriteriaAgree)
 {
-    ShapeRun amazon(shrink(workloads::amazonDesktopSpec()));
+    ShapeRun amazon(shrink("amazon-desktop"));
     const auto cfgs = graph::buildCfgs(amazon.run.records(),
                                        amazon.run.machine->symtab());
     const auto deps = graph::buildControlDeps(cfgs);

@@ -201,13 +201,7 @@ TEST_P(ReaderSweep, YieldsEveryRecordInOrder)
         ASSERT_LT(yielded, count);
         const size_t i = forward ? yielded : count - 1 - yielded;
         const trace::Record &want = records[i];
-        // Field by field: the record's padding is not part of the data.
-        ASSERT_TRUE(rec.addr == want.addr && rec.pc == want.pc &&
-                    rec.aux == want.aux && rec.tid == want.tid &&
-                    rec.kind == want.kind && rec.flags == want.flags &&
-                    rec.rr0 == want.rr0 && rec.rr1 == want.rr1 &&
-                    rec.rr2 == want.rr2 && rec.rw == want.rw)
-            << "record " << i << " differs";
+        ASSERT_TRUE(rec == want) << "record " << i << " differs";
         ++yielded;
         ASSERT_EQ(reader.remaining(), count - yielded);
     }

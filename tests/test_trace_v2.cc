@@ -3,9 +3,8 @@
  * Tests of the columnar compressed trace format (v2) and its companions:
  * the LZ block codec, the whole-file readers' transparent v2 decode
  * (the block reader is swept in test_trace_properties.cc), the
- * process-wide decode cache, the checkpointed value-log sidecar, and —
- * the contract the whole format hangs on — bit-identical slices from v1
- * and v2 files of the same recording.
+ * process-wide decode cache, and — the contract the whole format hangs
+ * on — bit-identical slices from v1 and v2 files of the same recording.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include "trace/columnar.hh"
 #include "trace/criteria.hh"
 #include "trace/trace_file.hh"
-#include "trace/value_log.hh"
 
 namespace webslice {
 namespace trace {
@@ -67,26 +65,12 @@ makeRecord(size_t i)
     return rec;
 }
 
-/**
- * Field-wise, never memcmp: the 32-byte Record carries 4 bytes of
- * struct padding whose content v1 files do not define.
- */
-void
-expectSameRecord(const Record &a, const Record &b, size_t i)
-{
-    ASSERT_TRUE(a.addr == b.addr && a.pc == b.pc && a.aux == b.aux &&
-                a.tid == b.tid && a.kind == b.kind &&
-                a.flags == b.flags && a.rr0 == b.rr0 && a.rr1 == b.rr1 &&
-                a.rr2 == b.rr2 && a.rw == b.rw)
-        << "record " << i << " differs";
-}
-
 void
 expectSameRecords(const std::vector<Record> &a, const std::vector<Record> &b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
-        expectSameRecord(a[i], b[i], i);
+        ASSERT_TRUE(a[i] == b[i]) << "record " << i << " differs";
 }
 
 uint64_t
@@ -287,7 +271,7 @@ TEST_F(BigV2Trace, MappedTraceDecodesTransparently)
     EXPECT_FALSE(mapped.mapped());
     ASSERT_EQ(mapped.count(), records.size());
     for (size_t i = 0; i < records.size(); ++i)
-        expectSameRecord(records[i], mapped[i], i);
+        ASSERT_TRUE(records[i] == mapped[i]) << "record " << i;
 }
 
 // ---- decode cache ----------------------------------------------------------
@@ -331,7 +315,7 @@ TEST_F(BigV2Trace, DecodeCacheEvictsUnderTinyBudget)
     // Eviction must not corrupt a block handed out before it.
     ASSERT_EQ(block0->size(), kTraceIndexBlockRecords);
     for (size_t i = 0; i < block0->size(); ++i)
-        expectSameRecord(records[i], (*block0)[i], i);
+        ASSERT_TRUE(records[i] == (*block0)[i]) << "record " << i;
 
     cache.setBudget(default_budget);
     cache.clear();
@@ -433,11 +417,9 @@ using slicer::SlicerOptions;
 
 /** Two threads of random traced work with markers and syscalls. */
 Machine
-randomProgram(uint64_t seed, bool value_log = false)
+randomProgram(uint64_t seed)
 {
     Machine machine;
-    if (value_log)
-        machine.enableValueLog();
     Rng rng(seed);
     const auto t0 = machine.addThread("a");
     const auto t1 = machine.addThread("b");
@@ -552,115 +534,6 @@ TEST(TraceV2Fuzz, SlicesBitIdenticalAcrossFormats)
         std::remove(v1.c_str());
         std::remove(v2.c_str());
     }
-}
-
-// ---- value log v2 ----------------------------------------------------------
-
-TEST(ValueLogV2, SniffsBothFormats)
-{
-    const Machine machine = randomProgram(3, /*value_log=*/true);
-    ASSERT_NE(machine.valueLog(), nullptr);
-    const std::string v1 = tempPath("sniff_v1.val");
-    const std::string v2 = tempPath("sniff_v2.val");
-    machine.valueLog()->save(v1);
-    machine.valueLog()->save(v2, ValueLogFormat::V2, machine.records(),
-                             machine.pixelCriteria());
-    EXPECT_EQ(sniffValueLogFormat(v1), ValueLogFormat::V1);
-    EXPECT_EQ(sniffValueLogFormat(v2), ValueLogFormat::V2);
-    std::remove(v1.c_str());
-    std::remove(v2.c_str());
-}
-
-TEST(ValueLogV2, ReconstructedSnapshotsMatchStoredBlobs)
-{
-    for (uint64_t seed = 0; seed < 4; ++seed) {
-        const Machine machine = randomProgram(seed, /*value_log=*/true);
-        const ValueLog *live = machine.valueLog();
-        ASSERT_NE(live, nullptr);
-
-        const std::string v1 = tempPath("vlog_v1.val");
-        const std::string v2 = tempPath("vlog_v2.val");
-        live->save(v1);
-        live->save(v2, ValueLogFormat::V2, machine.records(),
-                   machine.pixelCriteria());
-
-        const uint64_t rebuilt_before =
-            counterValue("value_log.snapshots_reconstructed") +
-            counterValue("value_log.snapshot_fallbacks");
-
-        ValueLog from_v1, from_v2;
-        from_v1.load(v1, machine.records());
-        from_v2.load(v2, machine.records());
-
-        // Values and every blob — syscall effect ranges AND the marker
-        // snapshots the v2 file rebuilt by replay — must be
-        // bit-identical to the v1 (raw) load.
-        EXPECT_EQ(from_v1.values, from_v2.values) << "seed " << seed;
-        ASSERT_EQ(from_v1.blobs.size(), from_v2.blobs.size());
-        for (const auto &kv : from_v1.blobs) {
-            const auto *blob = from_v2.blobAt(kv.first);
-            ASSERT_NE(blob, nullptr)
-                << "seed " << seed << ": v2 lost blob at record "
-                << kv.first;
-            EXPECT_EQ(*blob, kv.second)
-                << "seed " << seed << ": blob at record " << kv.first
-                << " differs";
-        }
-
-        // Every marker snapshot came out of the reconstruction (or its
-        // verified raw fallback), never silently skipped.
-        size_t markers = 0;
-        for (const auto &rec : machine.records())
-            markers += rec.kind == RecordKind::Marker;
-        EXPECT_GE(counterValue("value_log.snapshots_reconstructed") +
-                      counterValue("value_log.snapshot_fallbacks"),
-                  rebuilt_before + markers);
-
-        std::remove(v1.c_str());
-        std::remove(v2.c_str());
-    }
-}
-
-TEST(ValueLogV2, CheckpointRestoresAreCounted)
-{
-    const Machine machine = randomProgram(1, /*value_log=*/true);
-    const std::string v2 = tempPath("vlog_restore.val");
-    machine.valueLog()->save(v2, ValueLogFormat::V2, machine.records(),
-                             machine.pixelCriteria());
-    const uint64_t restores_before =
-        counterValue("trace.checkpoint_restores");
-    ValueLog loaded;
-    loaded.load(v2, machine.records());
-    EXPECT_GT(counterValue("trace.checkpoint_restores"), restores_before);
-    std::remove(v2.c_str());
-}
-
-TEST(ValueLogV2Death, V1OnlyLoadRefusesV2Files)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const Machine machine = randomProgram(2, /*value_log=*/true);
-    const std::string v2 = tempPath("vlog_refuse.val");
-    machine.valueLog()->save(v2, ValueLogFormat::V2, machine.records(),
-                             machine.pixelCriteria());
-    ValueLog log;
-    EXPECT_DEATH(log.load(v2), "use load\\(path, records\\)");
-    std::remove(v2.c_str());
-}
-
-TEST(ValueLogV2Death, TruncationIsFatal)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const Machine machine = randomProgram(4, /*value_log=*/true);
-    const std::string v2 = tempPath("vlog_trunc.val");
-    machine.valueLog()->save(v2, ValueLogFormat::V2, machine.records(),
-                             machine.pixelCriteria());
-    std::ifstream in(v2, std::ios::binary | std::ios::ate);
-    const auto bytes = static_cast<uint64_t>(in.tellg());
-    in.close();
-    truncateFile(v2, bytes / 2);
-    ValueLog log;
-    EXPECT_DEATH(log.load(v2, machine.records()), "value log");
-    std::remove(v2.c_str());
 }
 
 } // namespace

@@ -3,7 +3,7 @@
  * Tests of the workload generators and the benchmark runner: determinism,
  * content-volume contracts, parse-ability of generated content by the
  * browser substrate, and end-to-end invariants for every paper benchmark
- * specification (parameterized).
+ * (the built-in scenarios, parameterized).
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +11,9 @@
 #include "browser/css.hh"
 #include "browser/html_parser.hh"
 #include "browser/js.hh"
-#include "workloads/content.hh"
+#include "scenario/builtins.hh"
 #include "scenario/run.hh"
+#include "workloads/content.hh"
 #include "workloads/sites.hh"
 
 namespace webslice {
@@ -168,7 +169,13 @@ class PaperSpecSweep
     : public ::testing::TestWithParam<int>
 {
   protected:
-    SiteSpec spec() const { return paperBenchmarks()[GetParam()]; }
+    SiteSpec
+    spec() const
+    {
+        return scenario::builtinScenario(
+                   scenario::kPaperBuiltins[GetParam()])
+            .site;
+    }
 };
 
 TEST_P(PaperSpecSweep, SiteContentIsSelfConsistent)
@@ -202,29 +209,44 @@ TEST_P(PaperSpecSweep, ContentGenerationIsDeterministic)
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, PaperSpecSweep,
                          ::testing::Values(0, 1, 2, 3));
 
+SiteSpec
+builtinSite(const char *id)
+{
+    return scenario::builtinScenario(id).site;
+}
+
 TEST(Specs, BrowseVariantsDeriveCorrectly)
 {
-    const auto amazon = amazonDesktopSpec();
-    const auto browse = withBrowseSession(amazon);
+    // The Table I "Load and Browse" variants are the load-only site
+    // with a browse session added.
+    const auto amazon = builtinSite("amazon-desktop");
+    const auto browse = builtinSite("amazon-desktop-browse");
     EXPECT_TRUE(amazon.actions.empty());
     EXPECT_FALSE(browse.actions.empty());
     EXPECT_GT(browse.sessionMs, amazon.sessionMs);
+    EXPECT_EQ(browse.seed, amazon.seed);
+    EXPECT_EQ(browse.js.targetBytes, amazon.js.targetBytes);
 
-    const auto maps_browse = withBrowseSession(googleMapsSpec());
+    const auto maps = builtinSite("maps");
+    const auto maps_browse = builtinSite("maps-browse");
     EXPECT_GT(maps_browse.lazyJsBytes, 0u); // Maps grows while browsed
+    EXPECT_EQ(maps_browse.seed, maps.seed);
 
-    const auto bing = bingSpec();
-    EXPECT_EQ(withBrowseSession(bing).actions.size(),
-              bing.actions.size()); // already a browse benchmark
-
-    const auto bing_load = withoutBrowseSession(bing);
+    // Bing is the paper's browse benchmark; its "Only Load" variant
+    // drops the session.
+    const auto bing = builtinSite("bing");
+    const auto bing_load = builtinSite("bing-load");
+    EXPECT_FALSE(bing.actions.empty());
     EXPECT_TRUE(bing_load.actions.empty());
     EXPECT_EQ(bing_load.lazyJsBytes, 0u);
+    EXPECT_EQ(bing_load.seed, bing.seed);
 }
 
 TEST(Specs, PaperBenchmarkShapes)
 {
-    const auto specs = paperBenchmarks();
+    std::vector<SiteSpec> specs;
+    for (const char *id : scenario::kPaperBuiltins)
+        specs.push_back(builtinSite(id));
     ASSERT_EQ(specs.size(), 4u);
     EXPECT_EQ(specs[0].browser.rasterThreads, 3); // paper: 3 for desktop
     EXPECT_EQ(specs[1].browser.rasterThreads, 2);
@@ -239,7 +261,9 @@ TEST(Specs, PaperBenchmarkShapes)
 
 TEST(Runner, TinySpecRunsEndToEnd)
 {
-    SiteSpec spec;
+    scenario::Scenario sc;
+    sc.name = "tiny";
+    SiteSpec &spec = sc.site;
     spec.name = "tiny";
     spec.url = "https://tiny.example/";
     spec.seed = 123;
@@ -252,7 +276,7 @@ TEST(Runner, TinySpecRunsEndToEnd)
     spec.css.targetBytes = 1500;
     spec.sessionMs = 300;
 
-    const auto run = scenario::runSite(spec);
+    const auto run = scenario::runScenario(sc);
     EXPECT_TRUE(run.tab->loadComplete());
     EXPECT_GT(run.records().size(), 1000u);
     EXPECT_GT(run.machine->pixelCriteria().markerCount(), 0u);
@@ -266,7 +290,9 @@ TEST(Runner, TinySpecRunsEndToEnd)
 
 TEST(Runner, ActionsFireDuringTheSession)
 {
-    SiteSpec spec;
+    scenario::Scenario sc;
+    sc.name = "tiny-browse";
+    SiteSpec &spec = sc.site;
     spec.name = "tiny-browse";
     spec.url = "https://tiny.example/";
     spec.seed = 124;
@@ -280,7 +306,7 @@ TEST(Runner, ActionsFireDuringTheSession)
     spec.sessionMs = 2500;
     spec.actions = {{UserAction::Kind::Click, 1200, 0, "btn-menu"}};
 
-    const auto run = scenario::runSite(spec);
+    const auto run = scenario::runScenario(sc);
     // The menu toggle ran: the handler flipped g_menu and the menu became
     // visible, which forces extra pipeline updates after load.
     EXPECT_GT(run.records().size(), run.loadCompleteIndex);

@@ -7,8 +7,11 @@
  *                  [--cdg FILE] [--dump-cdg FILE] [--metrics-json FILE]
  *
  * Reads the artifacts recorded by webslice-record (<prefix>.trc/.sym/
- * .crit/.meta, plus <prefix>.val when present) and runs three independent
- * passes over them:
+ * .crit/.meta) and runs four independent passes over them. When the
+ * recording's scenario <prefix>.scn is present, it is first re-executed
+ * in process with value capture: the re-run must reproduce the .trc
+ * record for record (else exit 1, naming the record), and its concrete
+ * values feed the soundness checker's byte comparisons.
  *
  *  1. the graph linter — CFG well-formedness, an independent re-derivation
  *     of the forward pass diffed edge-by-edge, a naive postdominator
@@ -35,14 +38,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
 #include "check/containment.hh"
 #include "check/graph_lint.hh"
 #include "check/race.hh"
 #include "check/soundness.hh"
+#include "scenario/recording.hh"
 #include "staticdep/slice.hh"
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
@@ -54,7 +58,6 @@
 #include "trace/artifacts.hh"
 #include "trace/run_meta.hh"
 #include "trace/trace_file.hh"
-#include "trace/value_log.hh"
 
 using namespace webslice;
 
@@ -272,25 +275,23 @@ main(int argc, char **argv)
 
     // ---- load artifacts ----------------------------------------------------
     trace::ArtifactSidecars sidecars;
-    trace::ValueLog values;
-    bool have_values = false;
     std::unique_ptr<trace::MappedTrace> mapped;
     {
         ScopedPhase phase("load");
         sidecars = trace::loadArtifactSidecars(prefix);
         mapped = std::make_unique<trace::MappedTrace>(prefix + ".trc");
-        const std::string value_path = prefix + ".val";
-        if (std::ifstream(value_path).good()) {
-            // The records overload handles both sidecar formats; v2
-            // reconstructs marker snapshots by checkpointed replay.
-            values.load(value_path, mapped->records());
-            have_values = true;
-        }
     }
     trace::SymbolTable &symtab = sidecars.symtab;
     trace::CriteriaSet &criteria = sidecars.criteria;
     trace::RunMeta &meta = sidecars.meta;
     const auto records = mapped->records();
+
+    // ---- values: re-execute the recording's scenario ----------------------
+    std::optional<trace::ValueLog> values;
+    {
+        ScopedPhase phase("reexecute");
+        values = scenario::reexecuteRecording(prefix, records);
+    }
 
     size_t window = records.size();
     if (use_window && meta.loadOnly && meta.loadCompleteIndex != SIZE_MAX)
@@ -348,7 +349,7 @@ main(int argc, char **argv)
         sound_options.mode = slice_options.mode;
         sound_options.minimalityProbes = probes;
         sound = check::checkSliceSoundness(
-            records, slice, criteria, have_values ? &values : nullptr,
+            records, slice, criteria, values ? &*values : nullptr,
             sound_options);
     }
     std::printf("soundness (%s): %s — %llu in-slice of %llu replayed, "
@@ -438,13 +439,14 @@ main(int argc, char **argv)
     printFindings(containment.findings);
 
     if (!metrics_json.empty()) {
+        auto digests = trace::digestArtifacts(prefix);
+        digests.push_back({prefix + ".scn", digestFile(prefix + ".scn")});
         const std::vector<std::pair<std::string, std::string>> extras = {
             {"graph_lint", graphLintJson(lint)},
-            {"soundness", soundnessJson(sound, have_values)},
+            {"soundness", soundnessJson(sound, values.has_value())},
             {"races", racesJson(races)},
             {"containment", containmentJson(containment, static_slice)},
-            {"artifacts",
-             trace::artifactDigestsJson(prefix, /*include_values=*/true)},
+            {"artifacts", trace::artifactDigestsJson(digests)},
         };
         writeMetricsReport(metrics_json, MetricRegistry::global(),
                            "webslice-check", extras,

@@ -7,16 +7,15 @@
  *
  * Reads <input-prefix>.trc (either format) and writes
  * <output-prefix>.trc in the requested format (default: the other
- * format from the input's). The value log, when present, is transcoded
- * to the matching sidecar format; the text sidecars (.sym, .crit,
- * .meta) are copied verbatim, so the converted prefix is a complete,
- * sliceable session. Output files are published atomically (temp file +
- * rename), and the record stream — and therefore every slice digest
- * computed from it — is preserved bit-identically.
+ * format from the input's). The text sidecars (.sym, .crit, .meta) and
+ * the scenario (.scn) are copied verbatim, so the converted prefix is a
+ * complete, sliceable, re-executable session. Output files are
+ * published atomically (temp file + rename), and the record stream —
+ * and therefore every slice digest computed from it — is preserved
+ * bit-identically.
  *
- * --verify reloads both prefixes after conversion and compares every
- * record and every value-log entry byte for byte, failing loudly on
- * the first difference.
+ * --verify reloads the output trace after conversion and compares every
+ * record with the input, failing loudly on the first difference.
  *
  * The tool prints the before/after trace sizes and the compression
  * ratio, which CI's trace-format job asserts against.
@@ -32,9 +31,7 @@
 
 #include "support/logging.hh"
 #include "support/strings.hh"
-#include "trace/criteria.hh"
 #include "trace/trace_file.hh"
-#include "trace/value_log.hh"
 
 using namespace webslice;
 
@@ -48,8 +45,8 @@ usage(const char *argv0)
                  "[--to=v1|v2] [--verify]\n"
                  "  --to: target trace format; defaults to the format "
                  "the input is not\n"
-                 "  --verify: reload both prefixes and compare "
-                 "byte-for-byte\n",
+                 "  --verify: reload the output trace and compare every "
+                 "record\n",
                  argv0);
 }
 
@@ -83,17 +80,6 @@ copyFile(const std::string &from, const std::string &to)
     }
     fatal_if(std::rename(tmp.c_str(), to.c_str()) != 0,
              "cannot rename ", tmp, " into place as ", to);
-}
-
-bool
-sameRecords(const trace::Record &a, const trace::Record &b)
-{
-    // Field-wise, not memcmp: the 32-byte Record carries 4 bytes of
-    // struct padding whose content v1 files do not define.
-    return a.addr == b.addr && a.pc == b.pc && a.aux == b.aux &&
-           a.tid == b.tid && a.kind == b.kind && a.flags == b.flags &&
-           a.rr0 == b.rr0 && a.rr1 == b.rr1 && a.rr2 == b.rr2 &&
-           a.rw == b.rw;
 }
 
 } // namespace
@@ -149,26 +135,8 @@ main(int argc, char **argv)
         writer.close();
     }
 
-    // ---- value log -----------------------------------------------------
-    const std::string in_values = in_prefix + ".val";
-    const bool have_values = exists(in_values);
-    if (have_values) {
-        trace::ValueLog values;
-        values.load(in_values, records);
-        trace::CriteriaSet criteria;
-        fatal_if(!exists(in_prefix + ".crit"),
-                 "value log present but no criteria sidecar at ",
-                 in_prefix, ".crit; cannot transcode snapshots");
-        criteria.load(in_prefix + ".crit");
-        values.save(out_prefix + ".val",
-                    to == trace::TraceFormat::V2
-                        ? trace::ValueLogFormat::V2
-                        : trace::ValueLogFormat::V1,
-                    records, criteria);
-    }
-
-    // ---- text sidecars -------------------------------------------------
-    for (const char *ext : {".sym", ".crit", ".meta"}) {
+    // ---- sidecars ------------------------------------------------------
+    for (const char *ext : {".sym", ".crit", ".meta", ".scn"}) {
         if (exists(in_prefix + ext))
             copyFile(in_prefix + ext, out_prefix + ext);
     }
@@ -180,30 +148,11 @@ main(int argc, char **argv)
                  out_trace, " holds ", reloaded.size(), " records, ",
                  in_trace, " holds ", records.size());
         for (size_t i = 0; i < records.size(); ++i) {
-            fatal_if(!sameRecords(records[i], reloaded[i]),
-                     "verify failed: record ", i, " differs between ",
-                     in_trace, " and ", out_trace);
+            fatal_if(records[i] != reloaded[i], "verify failed: record ",
+                     i, " differs between ", in_trace, " and ",
+                     out_trace);
         }
-        if (have_values) {
-            trace::ValueLog a, b;
-            a.load(in_values, records);
-            b.load(out_prefix + ".val", reloaded);
-            fatal_if(a.values != b.values, "verify failed: value "
-                     "arrays differ between ", in_prefix, ".val and ",
-                     out_prefix, ".val");
-            fatal_if(a.blobs.size() != b.blobs.size(), "verify failed: "
-                     "blob counts differ between ", in_prefix,
-                     ".val and ", out_prefix, ".val");
-            for (const auto &kv : a.blobs) {
-                const auto *blob = b.blobAt(kv.first);
-                fatal_if(!blob || *blob != kv.second, "verify failed: "
-                         "blob at record ", kv.first, " differs "
-                         "between ", in_prefix, ".val and ", out_prefix,
-                         ".val");
-            }
-        }
-        std::fprintf(stderr, "verify: records%s bit-identical\n",
-                     have_values ? " and value log" : "");
+        std::fprintf(stderr, "verify: records bit-identical\n");
     }
 
     const uint64_t in_bytes = fileBytes(in_trace);
@@ -216,12 +165,5 @@ main(int argc, char **argv)
                 out_bytes ? static_cast<double>(in_bytes) /
                                 static_cast<double>(out_bytes)
                           : 0.0);
-    if (have_values) {
-        std::printf("%s.val (%s bytes) -> %s.val (%s bytes)\n",
-                    in_prefix.c_str(),
-                    withCommas(fileBytes(in_values)).c_str(),
-                    out_prefix.c_str(),
-                    withCommas(fileBytes(out_prefix + ".val")).c_str());
-    }
     return 0;
 }

@@ -419,7 +419,8 @@ main(int argc, char **argv)
     if (!metrics_json.empty()) {
         std::vector<std::pair<std::string, std::string>> extras = {
             {"slice", sliceStatsJson(slice, meta, options)},
-            {"artifacts", trace::artifactDigestsJson(prefix)},
+            {"artifacts",
+             trace::artifactDigestsJson(trace::digestArtifacts(prefix))},
         };
         if (!static_compare_json.empty())
             extras.emplace_back("static_compare", static_compare_json);

@@ -3,46 +3,46 @@
  * webslice-scenario: the scenario subsystem's command-line front end.
  *
  *   webslice-scenario describe
- *       Enumerate the built-in workloads (one id per line, with a
- *       summary) and the generator's knobs.
+ *       Enumerate the built-in scenarios (one id per line, with the
+ *       scenario's name) and the generator's knobs.
  *
  *   webslice-scenario generate --seed N [--knob key=value]... [-o F]
  *   webslice-scenario generate --builtin <id> [-o F]
- *       Deterministically synthesize a scenario (or export a built-in
- *       workload) and print/write its canonical .scn text. The same
- *       seed+knobs always emit the same bytes; the .scn ports of the
- *       paper benchmarks checked in under scenarios/ are --builtin
- *       exports verbatim.
+ *       Deterministically synthesize a scenario (or export a built-in)
+ *       and print/write its canonical .scn text. The same seed+knobs
+ *       always emit the same bytes; the built-ins are the files under
+ *       scenarios/, which are canonical, so --builtin prints them
+ *       verbatim.
  *
  *   webslice-scenario run <file.scn | builtin-id> <output-prefix>
- *                     [--values] [--format=v1|v2] [--metrics-json F]
- *       Record one scenario: writes <prefix>.trc/.sym/.crit/.meta (and
- *       .val with --values) exactly like webslice-record, so every
+ *                     [--format=v1|v2] [--metrics-json F]
+ *       Record one scenario: writes <prefix>.trc/.sym/.crit/.meta/.scn
+ *       through the same publish function as webslice-record, so every
  *       downstream tool (webslice-profile, webslice-check,
  *       webslice-static, the service fleet) consumes the artifacts
- *       unchanged.
+ *       unchanged. Refuses a prefix whose .scn is the input file.
  *
  *   webslice-scenario sweep --seeds A..B [--knob key=v1,v2]...
- *                     --out-dir D [--values] [--metrics-json F]
+ *                     --out-dir D [--metrics-json F]
  *       Cross-product of every knob value list against every seed; each
- *       member gets a .scn plus its recorded artifacts under D. The
- *       metrics report (schema webslice-scenario-v1) carries one entry
- *       per recording: record count, trace bytes + digest, load index.
+ *       member gets its recorded artifacts (its .scn included) under D.
+ *       The metrics report (schema webslice-scenario-v1) carries one
+ *       entry per recording: record count, trace bytes + digest, load
+ *       index.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 
+#include "scenario/builtins.hh"
 #include "scenario/generator.hh"
-#include "scenario/run.hh"
+#include "scenario/recording.hh"
 #include "scenario/scenario.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/strings.hh"
 #include "trace/trace_file.hh"
-#include "workloads/sites.hh"
 
 using namespace webslice;
 
@@ -57,19 +57,19 @@ usage(const char *argv0)
         "       %s generate --seed N [--knob key=value]... [-o file]\n"
         "       %s generate --builtin <id> [-o file]\n"
         "       %s run <file.scn | builtin-id> <output-prefix>\n"
-        "             [--values] [--format=v1|v2] [--metrics-json F]\n"
+        "             [--format=v1|v2] [--metrics-json F]\n"
         "       %s sweep --seeds A..B [--knob key=v1,v2]... --out-dir D\n"
-        "             [--values] [--format=v1|v2] [--metrics-json F]\n",
+        "             [--format=v1|v2] [--metrics-json F]\n",
         argv0, argv0, argv0, argv0, argv0);
 }
 
 int
 describe()
 {
-    std::printf("built-in sites (webslice-scenario run <id>, "
+    std::printf("built-in scenarios (webslice-scenario run <id>, "
                 "webslice-record <id>):\n");
-    for (const auto &site : workloads::builtinSites())
-        std::printf("%-16s %s\n", site.id, site.summary);
+    for (const auto &builtin : scenario::builtins())
+        std::printf("%-16s %s\n", builtin.id.c_str(), builtin.name.c_str());
     std::printf("\ngenerator knobs (--knob key=value):\n%s",
                 scenario::describeKnobs().c_str());
     return 0;
@@ -88,63 +88,30 @@ struct RecordingStats
 };
 
 /**
- * Record one scenario and publish its artifacts under `prefix`,
- * mirroring webslice-record's hand-off byte for byte.
+ * Record one scenario and publish its artifacts under `prefix`;
+ * `source` is the .scn file it came from, if any.
  */
 RecordingStats
-recordScenario(const scenario::Scenario &sc, const std::string &prefix,
-               bool capture_values, trace::TraceFormat format)
+recordOne(const scenario::Scenario &sc, const std::string &prefix,
+          trace::TraceFormat format, const std::string &source = {})
 {
-    scenario::Scenario run_sc = sc;
-    run_sc.site.captureValues = capture_values;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto run = scenario::runScenario(run_sc);
-    const auto t1 = std::chrono::steady_clock::now();
-
-    {
-        trace::TraceWriter writer(prefix + ".trc", /*block_index=*/true,
-                                  format, /*atomic=*/true);
-        for (const auto &rec : run.records())
-            writer.append(rec);
-        writer.close();
-    }
-    run.machine->symtab().save(prefix + ".sym");
-    run.machine->pixelCriteria().save(prefix + ".crit");
-    if (capture_values) {
-        const auto value_format = format == trace::TraceFormat::V2
-                                      ? trace::ValueLogFormat::V2
-                                      : trace::ValueLogFormat::V1;
-        run.machine->valueLog()->save(prefix + ".val", value_format,
-                                      run.records(),
-                                      run.machine->pixelCriteria());
-    }
-
-    std::ofstream meta(prefix + ".meta");
-    fatal_if(!meta, "cannot write ", prefix, ".meta");
-    meta << "benchmark " << run.spec.name << '\n';
-    meta << "loadCompleteIndex " << run.loadCompleteIndex << '\n';
-    meta << "loadOnly " << (scenario::isLoadOnly(sc) ? 1 : 0) << '\n';
-    const auto thread_names = run.threadNames();
-    for (size_t t = 0; t < thread_names.size(); ++t)
-        meta << "thread " << t << ' ' << thread_names[t] << '\n';
+    const auto summary =
+        scenario::recordScenario(sc, prefix, format, source);
 
     RecordingStats stats;
     stats.name = sc.name;
     stats.prefix = prefix;
-    stats.records = run.records().size();
-    stats.loadCompleteIndex = run.loadCompleteIndex;
+    stats.records = summary.records;
+    stats.loadCompleteIndex = summary.loadCompleteIndex;
     const auto digest = digestFile(prefix + ".trc");
     stats.traceBytes = digest.bytes;
     stats.traceDigest = digest.fnv1a;
-    stats.recordSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
+    stats.recordSeconds = summary.runSeconds;
 
     std::fprintf(stderr,
-                 "recorded '%s' -> %s.{trc,sym,crit,meta%s}: %s "
+                 "recorded '%s' -> %s.{trc,sym,crit,meta,scn}: %s "
                  "records\n",
                  sc.name.c_str(), prefix.c_str(),
-                 capture_values ? ",val" : "",
                  withCommas(stats.records).c_str());
     return stats;
 }
@@ -181,15 +148,6 @@ maybeWriteMetrics(const std::string &path,
                        "webslice-scenario",
                        {{"recordings", recordingsJson(all)}},
                        "webslice-scenario-v1");
-}
-
-/** Load a scenario from a .scn path or a built-in workload id. */
-scenario::Scenario
-loadScenario(const std::string &what)
-{
-    if (const auto *builtin = workloads::findBuiltinSite(what))
-        return scenario::scenarioFromSpec(builtin->factory());
-    return scenario::parseScenarioFile(what);
 }
 
 struct SweepAxis
@@ -260,15 +218,9 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 1;
         }
-        scenario::Scenario sc;
-        if (!builtin_id.empty()) {
-            const auto *builtin = workloads::findBuiltinSite(builtin_id);
-            fatal_if(!builtin, "unknown built-in '", builtin_id,
-                     "' (see describe)");
-            sc = scenario::scenarioFromSpec(builtin->factory());
-        } else {
-            sc = scenario::generateScenario(seed, knobs);
-        }
+        const scenario::Scenario sc =
+            builtin_id.empty() ? scenario::generateScenario(seed, knobs)
+                               : scenario::builtinScenario(builtin_id);
         const std::string text = scenario::serializeScenario(sc);
         if (out_path.empty()) {
             std::fputs(text.c_str(), stdout);
@@ -285,14 +237,11 @@ main(int argc, char **argv)
             usage(argv[0]);
             return 1;
         }
-        bool capture_values = false;
         trace::TraceFormat trace_format = trace::TraceFormat::V1;
         std::string metrics_path;
         for (int a = 4; a < argc; ++a) {
             const std::string arg = argv[a];
-            if (arg == "--values") {
-                capture_values = true;
-            } else if (arg == "--format=v1") {
+            if (arg == "--format=v1") {
                 trace_format = trace::TraceFormat::V1;
             } else if (arg == "--format=v2") {
                 trace_format = trace::TraceFormat::V2;
@@ -303,8 +252,14 @@ main(int argc, char **argv)
                 return 1;
             }
         }
-        const auto stats = recordScenario(loadScenario(argv[2]), argv[3],
-                                          capture_values, trace_format);
+        // A built-in id, else a .scn file.
+        const std::string what = argv[2];
+        const auto stats =
+            scenario::findBuiltin(what)
+                ? recordOne(scenario::builtinScenario(what), argv[3],
+                            trace_format)
+                : recordOne(scenario::parseScenarioFile(what), argv[3],
+                            trace_format, what);
         maybeWriteMetrics(metrics_path, {stats});
         return 0;
     }
@@ -313,7 +268,6 @@ main(int argc, char **argv)
         uint64_t seed_lo = 1, seed_hi = 0;
         std::vector<SweepAxis> axes;
         std::string out_dir, metrics_path;
-        bool capture_values = false;
         trace::TraceFormat trace_format = trace::TraceFormat::V1;
         for (int a = 2; a < argc; ++a) {
             const std::string arg = argv[a];
@@ -336,8 +290,6 @@ main(int argc, char **argv)
                     {kv.substr(0, eq), splitValues(kv.substr(eq + 1))});
             } else if (arg == "--out-dir" && a + 1 < argc) {
                 out_dir = argv[++a];
-            } else if (arg == "--values") {
-                capture_values = true;
             } else if (arg == "--format=v1") {
                 trace_format = trace::TraceFormat::V1;
             } else if (arg == "--format=v2") {
@@ -376,14 +328,7 @@ main(int argc, char **argv)
                     "%s/%s_seed%llu", out_dir.c_str(),
                     scenario::knobsLabel(knobs).c_str(),
                     static_cast<unsigned long long>(seed));
-                {
-                    std::ofstream scn(prefix + ".scn");
-                    fatal_if(!scn, "cannot write ", prefix,
-                             ".scn (does --out-dir exist?)");
-                    scn << scenario::serializeScenario(sc);
-                }
-                all.push_back(recordScenario(
-                    sc, prefix, capture_values, trace_format));
+                all.push_back(recordOne(sc, prefix, trace_format));
             }
         }
         maybeWriteMetrics(metrics_path, all);

@@ -407,7 +407,8 @@ main(int argc, char **argv)
                              static_analysis.rdFallbacks)},
             {"containment", containmentJson(containment)},
             {"contrast", contrastJson(contrast)},
-            {"artifacts", trace::artifactDigestsJson(prefix)},
+            {"artifacts",
+             trace::artifactDigestsJson(trace::digestArtifacts(prefix))},
         };
         writeMetricsReport(metrics_json, MetricRegistry::global(),
                            "webslice-static", extras,
