@@ -17,12 +17,15 @@
  *
  *  - session build: the one-time forward pass a fresh daemon pays for
  *    a recording, reported separately from any per-criterion cost;
- *  - per-criterion backward latency, cold vs warm: the same set of
- *    distinct criteria (mode x backward-jobs, one shared window) is
- *    sliced against a daemon started with --no-plan-cache (every query
- *    pays the full transcode: the cold baseline) and against a default
- *    daemon whose second-and-later criteria hit the cached epoch plan.
- *    The ratio of the medians is `warm_backward_speedup`;
+ *  - per-criterion latency, cold vs warm: a daemon started with
+ *    --no-plan-cache answers each criterion (mode x backward-jobs) on
+ *    its own window, so every cold query walks the trace and
+ *    categorizes the slice; a default daemon, warmed with one query
+ *    per mode, answers the same criteria over the shared window from
+ *    its result memo. The ratio of the median run_ms is
+ *    `warm_backward_speedup` (a memo answer runs no slice, so it has
+ *    no slice_ms to compare). A third sample times the plan walk a
+ *    warm query pays when its (window, mode) is new;
  *  - warm throughput: single-query batches at 1, 4, and 8 concurrent
  *    client connections — queries/sec plus p50/p99 round trip latency.
  *
@@ -110,9 +113,9 @@ percentile(std::vector<double> sorted, double p)
 /**
  * The per-criterion workload: `count` distinct criteria over the one
  * shared (default) window. Distinctness comes from mode x backward-jobs
- * so none of them dedup, yet all of them resolve to the same epoch
- * plan — exactly the "many criteria, one session" pattern the plan
- * cache exists for.
+ * so none of them dedup, yet they are only two answers (one per mode)
+ * — exactly the "many criteria, one session" pattern the result memo
+ * exists for.
  */
 std::vector<service::SliceQuery>
 criterionSet(size_t count)
@@ -128,16 +131,18 @@ criterionSet(size_t count)
 
 struct CriterionSample
 {
-    std::vector<double> sliceMs; ///< Backward pass only, per criterion.
+    std::vector<double> runMs;   ///< Whole run on the worker.
+    std::vector<double> sliceMs; ///< Backward pass only (0 on a memo hit).
     size_t planHits = 0;
+    size_t memoHits = 0;
 
-    double median() const { return percentile(sliceMs, 50.0); }
-    double p99() const { return percentile(sliceMs, 99.0); }
+    double median() const { return percentile(runMs, 50.0); }
+    double p99() const { return percentile(runMs, 99.0); }
 };
 
 /**
  * Run each criterion as its own single-query batch on one connection,
- * sequentially, so the reported slice_ms is undisturbed by sibling
+ * sequentially, so the reported latencies are undisturbed by sibling
  * queries contending for cores.
  */
 CriterionSample
@@ -159,8 +164,11 @@ runCriteria(const std::string &socket_path, const std::string &prefix,
                          error.c_str());
             std::exit(1);
         }
-        sample.sliceMs.push_back(outcome.results[0].sliceMs);
-        sample.planHits += outcome.results[0].planHit ? 1 : 0;
+        const service::QueryResult &result = outcome.results[0];
+        sample.runMs.push_back(result.runMs);
+        sample.sliceMs.push_back(result.sliceMs);
+        sample.planHits += result.planHit ? 1 : 0;
+        sample.memoHits += result.memoHit ? 1 : 0;
     }
     return sample;
 }
@@ -460,15 +468,17 @@ main(int argc, char **argv)
     const auto criteria = criterionSet(queries);
 
     std::printf("site %s: %s records, %zu criteria "
-                "(mode x backward-jobs, shared window)\n",
+                "(mode x backward-jobs)\n",
                 sc.name.c_str(),
                 withCommas(records).c_str(), queries);
 
     // ---- phase 1: plans disabled — session build + cold criteria -----------
     // One throwaway query builds the session so the criterion loop below
-    // measures the backward pass alone; with --no-plan-cache semantics
-    // every criterion re-transcodes the window from scratch. This is
-    // what each query cost before plan caching existed.
+    // measures the queries alone. Each cold criterion asks its own
+    // window, one record shorter than the last, so the result memo
+    // never answers: every query walks the trace plan-less and
+    // categorizes its slice. This is what a query costs with neither
+    // plans nor memo.
     double session_build_ms = 0.0;
     CriterionSample cold;
     {
@@ -495,14 +505,17 @@ main(int argc, char **argv)
         session_build_ms =
             outcome.results[0].runMs - outcome.results[0].sliceMs;
 
-        cold = runCriteria(cold_socket, prefix, criteria);
+        std::vector<service::SliceQuery> cold_criteria = criteria;
+        for (size_t i = 0; i < cold_criteria.size(); ++i)
+            cold_criteria[i].endIndex = outcome.results[0].windowEnd - 1 - i;
+        cold = runCriteria(cold_socket, prefix, cold_criteria);
         client.close();
         server.requestShutdown();
         serving.join();
     }
     std::printf("  session build (forward pass, once): %8.1f ms\n",
                 session_build_ms);
-    std::printf("  cold criterion (no plan cache): p50 %8.2f ms  "
+    std::printf("  cold criterion (no plan, no memo): run p50 %8.2f ms  "
                 "p99 %8.2f ms\n",
                 cold.median(), cold.p99());
 
@@ -514,8 +527,8 @@ main(int argc, char **argv)
     std::thread serving([&] { server.run(); });
 
     // Warm-up: builds this daemon's session, the shared epoch plan, and
-    // one slice per mode, so the mixed sample below measures what a
-    // saturated daemon serves — repeats of already-seen criteria.
+    // one memoized answer per mode, so the mixed sample below measures
+    // what a saturated daemon serves — repeats of already-seen criteria.
     {
         service::ServiceClient client;
         std::string error;
@@ -536,10 +549,9 @@ main(int argc, char **argv)
     }
     const CriterionSample warm = runCriteria(socket_path, prefix, criteria);
 
-    // The full epoch replay a warm query pays when its criterion is new
-    // to the plan: prime a fresh window's plan with a pixel query, then
-    // time a syscalls query — a plan hit that cannot be answered from
-    // the per-plan result memo.
+    // The full epoch replay a warm query pays when its (window, mode)
+    // is new: prime a fresh window's plan with a pixel query, then time
+    // a syscalls query — a plan hit the result memo cannot answer.
     CriterionSample plan_walk;
     {
         service::ServiceClient client;
@@ -562,6 +574,7 @@ main(int argc, char **argv)
                              error.c_str());
                 return 1;
             }
+            plan_walk.runMs.push_back(outcome.results[0].runMs);
             plan_walk.sliceMs.push_back(outcome.results[0].sliceMs);
             plan_walk.planHits += outcome.results[0].planHit ? 1 : 0;
         }
@@ -569,13 +582,13 @@ main(int argc, char **argv)
 
     const double speedup =
         warm.median() > 0.0 ? cold.median() / warm.median() : 0.0;
-    std::printf("  warm criterion (repeat, cached plan + memo): "
-                "p50 %8.2f ms  p99 %8.2f ms  (%zu/%zu plan hits)\n",
-                warm.median(), warm.p99(), warm.planHits,
-                warm.sliceMs.size());
-    std::printf("  warm criterion (new to plan, full replay):   "
-                "p50 %8.2f ms  (half window, %zu/%zu plan hits)\n",
-                plan_walk.median(), plan_walk.planHits,
+    std::printf("  warm criterion (repeat, result memo):      "
+                "run p50 %8.2f ms  p99 %8.2f ms  (%zu/%zu memo hits)\n",
+                warm.median(), warm.p99(), warm.memoHits,
+                warm.runMs.size());
+    std::printf("  warm criterion (new to plan, full replay): "
+                "slice p50 %8.2f ms  (half window, %zu/%zu plan hits)\n",
+                percentile(plan_walk.sliceMs, 50.0), plan_walk.planHits,
                 plan_walk.sliceMs.size());
     std::printf("  warm_backward_speedup: %.2fx\n\n", speedup);
 
@@ -649,9 +662,11 @@ main(int argc, char **argv)
           << format("%.3f", warm.median()) << ",\n"
           << "    \"warm_criterion_p99_ms\": "
           << format("%.3f", warm.p99()) << ",\n"
-          << "    \"warm_plan_hits\": " << warm.planHits << ",\n"
+          << "    \"warm_memo_hits\": " << warm.memoHits << ",\n"
           << "    \"warm_plan_walk_half_window_p50_ms\": "
-          << format("%.3f", plan_walk.median()) << ",\n"
+          << format("%.3f", percentile(plan_walk.sliceMs, 50.0)) << ",\n"
+          << "    \"plan_walk_plan_hits\": " << plan_walk.planHits
+          << ",\n"
           << "    \"warm_backward_speedup\": "
           << format("%.3f", speedup) << ",\n"
           << "    \"sessions_built\": " << cache.built << ",\n"

@@ -19,7 +19,9 @@ ControlDepMap::depsOf(FuncId func, Pc pc) const
 {
     if (!sealed_)
         seal();
-    const uint64_t *entry = index_.find(key(func, pc));
+    // peek(), not find(): a sealed map is read by many threads at once
+    // (the plan transcode), so a lookup must write nothing.
+    const uint64_t *entry = index_.peek(key(func, pc));
     if (!entry)
         return {};
     return {pool_.data() + (*entry >> 20),

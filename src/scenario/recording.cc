@@ -29,10 +29,11 @@ recordScenario(const Scenario &sc, const std::string &prefix,
 
     {
         // The block index gives readers per-block work counts without a
-        // scan; atomic publication (temp file + fsync + rename) keeps a
-        // crashed recording from leaving a half-written .trc behind.
+        // scan; TraceWriter's atomic publication (temp file + fsync +
+        // rename) keeps a crashed recording from leaving a half-written
+        // .trc behind.
         trace::TraceWriter writer(prefix + ".trc", /*block_index=*/true,
-                                  format, /*atomic=*/true);
+                                  format);
         for (const auto &rec : run.records())
             writer.append(rec);
         writer.close();

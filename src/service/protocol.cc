@@ -250,6 +250,7 @@ QueryResult::toJson(size_t id) const
               Json::integer(static_cast<int64_t>(shardEpoch)));
     }
     j.set("cache_hit", Json::boolean(cacheHit));
+    j.set("memo_hit", Json::boolean(memoHit));
     j.set("plan_hit", Json::boolean(planHit));
     j.set("deduped", Json::boolean(deduped));
     j.set("queue_ms", Json::number(queueMs));
@@ -317,6 +318,8 @@ QueryResult::fromJson(const Json &json, QueryResult &out,
         out.shardEpoch = static_cast<uint64_t>(v->asInt());
     if (const Json *v = json.find("cache_hit"))
         out.cacheHit = v->asBool();
+    if (const Json *v = json.find("memo_hit"))
+        out.memoHit = v->asBool();
     if (const Json *v = json.find("plan_hit"))
         out.planHit = v->asBool();
     if (const Json *v = json.find("deduped"))

@@ -134,6 +134,9 @@ struct QueryResult
 
     // Scheduling telemetry.
     bool cacheHit = false; ///< Session served from the cache.
+    /** Answered from the result memo: no slice ran, so planHit is
+     *  false and sliceMs is 0. */
+    bool memoHit = false;
     bool planHit = false;  ///< Reused a cached epoch plan (warm query).
     bool deduped = false;  ///< Attached to an identical in-flight query.
     double queueMs = 0.0;

@@ -179,59 +179,30 @@ Scheduler::runJob(const std::shared_ptr<Job> &job)
         const auto session = cache_.acquire(job->prefix_, &cache_hit);
         result.cacheHit = cache_hit;
 
-        slicer::SlicerOptions options;
-        options.mode = job->query_.mode;
-        options.backwardJobs = job->query_.backwardJobs;
-        options.endIndex = session->windowEnd(job->query_.noWindow,
-                                              job->query_.endIndex);
-
-        // Route through the cached criterion-independent transcode:
-        // first query over this (recording, window) builds the plan
-        // (singleflight), warm ones skip the transcode pass entirely.
-        // The shared_ptr keeps the plan (and the session it points
-        // into) alive for the duration of the slice.
-        std::shared_ptr<const slicer::EpochPlan> plan;
-        bool plan_hit = false;
-        if (usePlans_) {
-            plan = cache_.acquirePlan(session, options.endIndex,
-                                      &plan_hit);
-            options.reusePlan = plan.get();
+        // A repeat is answered from the session-level memo: no plan,
+        // no record scan, no digest, no categorize pass.
+        const SliceQuery &query = job->query_;
+        const size_t window_end =
+            session->windowEnd(query.noWindow, query.endIndex);
+        auto answer = cache_.findAnswer(*session, window_end, query.mode);
+        result.memoHit = answer != nullptr;
+        if (!answer) {
+            answer = computeAnswer(session, query, window_end, result);
+            cache_.storeAnswer(*session, window_end, query.mode, answer);
         }
-        result.planHit = plan_hit;
 
-        const auto records = session->trace->records();
-        const auto slice_start = std::chrono::steady_clock::now();
-        const auto slice = slicer::computeSlice(
-            records, session->cfgs, session->deps,
-            session->sidecars.criteria, options);
-        result.sliceMs = millisSince(slice_start,
-                                     std::chrono::steady_clock::now());
-
-        result.mode = job->query_.mode ==
-                              slicer::CriteriaMode::PixelBuffer
+        result.mode = query.mode == slicer::CriteriaMode::PixelBuffer
                           ? "pixel-buffer"
                           : "syscalls";
-        result.records = records.size();
-        result.windowEnd = slice.analyzedWindowEnd;
-        result.instructionsAnalyzed = slice.instructionsAnalyzed;
-        result.sliceInstructions = slice.sliceInstructions;
-        result.criteriaBytesSeeded = slice.criteriaBytesSeeded;
-        result.slicePercent = slice.slicePercent();
-        result.inSliceFnv1a =
-            fnv1a64(slice.inSlice.data(), slice.inSlice.size());
-
-        const auto dist = analysis::categorizeUnnecessary(
-            records, slice.inSlice, session->cfgs,
-            session->sidecars.symtab,
-            analysis::Categorizer::chromiumDefault(),
-            slice.analyzedWindowEnd);
-        result.categoryCoveragePercent = dist.coveragePercent();
-        for (const auto &category :
-             analysis::Categorizer::reportOrder()) {
-            const double share = dist.sharePercent(category);
-            if (share > 0.0)
-                result.categoryShares.emplace_back(category, share);
-        }
+        result.records = session->trace->records().size();
+        result.windowEnd = answer->windowEnd;
+        result.instructionsAnalyzed = answer->instructionsAnalyzed;
+        result.sliceInstructions = answer->sliceInstructions;
+        result.criteriaBytesSeeded = answer->criteriaBytesSeeded;
+        result.slicePercent = answer->slicePercent;
+        result.inSliceFnv1a = answer->inSliceFnv1a;
+        result.categoryCoveragePercent = answer->categoryCoveragePercent;
+        result.categoryShares = answer->categoryShares;
         result.status = QueryResult::Status::Ok;
     } catch (const std::exception &e) {
         result.status = QueryResult::Status::Error;
@@ -240,6 +211,56 @@ Scheduler::runJob(const std::shared_ptr<Job> &job)
 
     result.runMs = millisSince(start, std::chrono::steady_clock::now());
     finishJob(job, std::move(result));
+}
+
+std::shared_ptr<const SliceAnswer>
+Scheduler::computeAnswer(const std::shared_ptr<const Session> &session,
+                         const SliceQuery &query, size_t window_end,
+                         QueryResult &result)
+{
+    slicer::SlicerOptions options;
+    options.mode = query.mode;
+    options.backwardJobs = query.backwardJobs;
+    options.endIndex = window_end;
+
+    // Route through the cached criterion-independent transcode: the
+    // first query over this (recording, window) builds the plan
+    // (singleflight), later ones skip the transcode pass. The
+    // shared_ptr keeps the plan (and the session it points into)
+    // alive for the duration of the slice.
+    std::shared_ptr<const slicer::EpochPlan> plan;
+    if (usePlans_) {
+        plan = cache_.acquirePlan(session, window_end, &result.planHit);
+        options.reusePlan = plan.get();
+    }
+
+    const auto records = session->trace->records();
+    const auto slice_start = std::chrono::steady_clock::now();
+    const auto slice = slicer::computeSlice(
+        records, session->cfgs, session->deps, session->sidecars.criteria,
+        options);
+    result.sliceMs =
+        millisSince(slice_start, std::chrono::steady_clock::now());
+
+    auto answer = std::make_shared<SliceAnswer>();
+    answer->windowEnd = slice.analyzedWindowEnd;
+    answer->instructionsAnalyzed = slice.instructionsAnalyzed;
+    answer->sliceInstructions = slice.sliceInstructions;
+    answer->criteriaBytesSeeded = slice.criteriaBytesSeeded;
+    answer->slicePercent = slice.slicePercent();
+    answer->inSliceFnv1a =
+        fnv1a64(slice.inSlice.data(), slice.inSlice.size());
+
+    const auto dist = analysis::categorizeUnnecessary(
+        records, slice.inSlice, session->cfgs, session->sidecars.symtab,
+        analysis::Categorizer::chromiumDefault(), slice.analyzedWindowEnd);
+    answer->categoryCoveragePercent = dist.coveragePercent();
+    for (const auto &category : analysis::Categorizer::reportOrder()) {
+        const double share = dist.sharePercent(category);
+        if (share > 0.0)
+            answer->categoryShares.emplace_back(category, share);
+    }
+    return answer;
 }
 
 void

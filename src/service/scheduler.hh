@@ -12,7 +12,8 @@
  *    an unbounded backlog;
  *  - dedup: an in-flight job with the same (recording identity,
  *    criterion) key absorbs identical submissions — both callers get
- *    the one result;
+ *    the one result; a repeat of a finished query is answered from
+ *    the session cache's result memo without slicing;
  *  - timeouts: a query whose queue deadline passed by the time a
  *    worker dequeues it reports Timeout without running;
  *  - isolation: loader/analysis failures are captured per job (see
@@ -80,11 +81,13 @@ class Scheduler
         size_t maxQueue = 64;
 
         /**
-         * Route queries through cached EpochPlans: the first query over
-         * a (recording, window) pays one transcode, every later one
-         * skips that pass entirely (plus any epochs its live set
+         * Route memo misses through cached EpochPlans: the first query
+         * over a (recording, window) pays one transcode, every later
+         * one skips that pass entirely (plus any epochs its live set
          * provably never reaches). Results are bit-identical either
-         * way; off is the cold-path baseline for benchmarks.
+         * way; off is the plan-less baseline for benchmarks. Repeats
+         * are answered from the session cache's result memo in both
+         * settings.
          */
         bool usePlans = true;
     };
@@ -147,6 +150,13 @@ class Scheduler
 
   private:
     void runJob(const std::shared_ptr<Job> &job);
+
+    /** Slice and categorize a memo miss; sets result's planHit and
+     *  sliceMs. */
+    std::shared_ptr<const SliceAnswer>
+    computeAnswer(const std::shared_ptr<const Session> &session,
+                  const SliceQuery &query, size_t window_end,
+                  QueryResult &result);
     void finishJob(const std::shared_ptr<Job> &job, QueryResult result,
                    bool abandoned = false);
 

@@ -276,6 +276,10 @@ Server::statsResponse() const
                        static_cast<int64_t>(cache.planEvictions)));
     cache_json.set("plan_waits",
                    Json::integer(static_cast<int64_t>(cache.planWaits)));
+    cache_json.set("memo_hits",
+                   Json::integer(static_cast<int64_t>(cache.memoHits)));
+    cache_json.set("memo_entries",
+                   Json::integer(static_cast<int64_t>(cache.memoEntries)));
     j.set("cache", std::move(cache_json));
 
     // Slicer-layer counters clients key decisions on, with stable
@@ -284,8 +288,8 @@ Server::statsResponse() const
     Json slicer_json = Json::object();
     for (const char *name :
          {"slicer.plan_hits", "slicer.plan_misses", "slicer.plan_builds",
-          "slicer.memo_hits", "slicer.epochs_planned",
-          "slicer.epochs_skipped", "slicer.epoch_elided_records",
+          "slicer.epochs_planned", "slicer.epochs_skipped",
+          "slicer.epoch_elided_records",
           "criteria.epoch_boundary_splits"}) {
         const char *dot = std::strchr(name, '.');
         slicer_json.set(dot + 1,

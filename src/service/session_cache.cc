@@ -3,6 +3,14 @@
 #include <utility>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/strings.hh"
@@ -55,7 +63,101 @@ estimateSessionBytes(const Session &session)
     return bytes;
 }
 
+/** Same file, same bytes: a .trc is only ever replaced by rename, so
+ *  unchanged (device, inode, size, mtime, ctime) means unchanged data. */
+bool
+sameFile(const struct stat &a, const struct stat &b)
+{
+    return a.st_dev == b.st_dev && a.st_ino == b.st_ino &&
+           a.st_size == b.st_size &&
+           a.st_mtim.tv_sec == b.st_mtim.tv_sec &&
+           a.st_mtim.tv_nsec == b.st_mtim.tv_nsec &&
+           a.st_ctim.tv_sec == b.st_ctim.tv_sec &&
+           a.st_ctim.tv_nsec == b.st_ctim.tv_nsec;
+}
+
+/**
+ * Hand the allocator's free pages back to the system. An evicted plan
+ * frees tens of MB interleaved with live allocations; without this a
+ * daemon that keeps building and evicting plans (one per new window)
+ * grows well past its byte budget in fragments.
+ */
+void
+releaseFreedMemory()
+{
+#if defined(__GLIBC__)
+    ::malloc_trim(0);
+#endif
+}
+
+/** Memo key: identity, window end, and criteria mode. */
+std::string
+memoKey(const Session &session, size_t window_end,
+        slicer::CriteriaMode mode)
+{
+    return format("%016llx|%llu|%c",
+                  static_cast<unsigned long long>(session.identity),
+                  static_cast<unsigned long long>(window_end),
+                  mode == slicer::CriteriaMode::Syscalls ? 's' : 'p');
+}
+
+/** Budget charge of one memoized answer: the entry, its key (held by
+ *  the map and the LRU list), and its category names. */
+uint64_t
+answerBytes(const std::string &key, const SliceAnswer &answer)
+{
+    uint64_t bytes = sizeof(SliceAnswer) + 2 * (key.size() + 64);
+    for (const auto &share : answer.categoryShares)
+        bytes += sizeof(share) + share.first.size();
+    return bytes;
+}
+
 } // namespace
+
+/**
+ * An open .trc and the fstat() taken before its bytes were hashed
+ * (a write during the hash then shows as a changed stamp later). The
+ * descriptor pins the inode: while the handle lives, no other file can
+ * take its (st_dev, st_ino).
+ */
+struct SessionCache::TraceHandle
+{
+    int fd = -1;
+    struct stat stamp = {};
+    FileDigest digest;
+
+    TraceHandle() = default;
+    TraceHandle(const TraceHandle &) = delete;
+    TraceHandle &operator=(const TraceHandle &) = delete;
+
+    ~TraceHandle()
+    {
+        if (fd >= 0)
+            ::close(fd);
+    }
+
+    /** Open, stamp, and hash `path`; digest.ok is false when it cannot
+     *  be read. */
+    static std::shared_ptr<const TraceHandle>
+    open(const std::string &path)
+    {
+        auto handle = std::make_shared<TraceHandle>();
+        handle->fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+        if (handle->fd < 0 || ::fstat(handle->fd, &handle->stamp) != 0)
+            return handle;
+        handle->digest = digestDescriptor(handle->fd);
+        return handle;
+    }
+
+    /** True when `path` still names the file this handle hashed. */
+    bool
+    matches(const std::string &path) const
+    {
+        struct stat now;
+        return digest.ok && ::stat(path.c_str(), &now) == 0 &&
+               sameFile(now, stamp);
+    }
+};
 
 size_t
 Session::windowEnd(bool no_window, uint64_t end_override) const
@@ -111,28 +213,48 @@ SessionCache::acquire(const std::string &prefix, bool *was_hit)
     if (was_hit)
         *was_hit = false;
 
-    // Digest outside the lock: it reads every artifact byte and must
-    // not serialize against other lookups.
-    auto digests = trace::digestArtifacts(prefix);
+    // Everything that reads a file runs outside the lock, so lookups
+    // never serialize behind it. A cached entry whose .trc still
+    // stat()s the same lends its digest; otherwise the .trc is hashed
+    // now, through the descriptor the new or refreshed entry keeps.
+    const std::string trc = prefix + ".trc";
+    std::shared_ptr<const TraceHandle> kept;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = entries_.find(prefix);
+        if (it != entries_.end())
+            kept = it->second.trace;
+    }
+    const bool rehash = kept && !kept->matches(trc);
+    const auto handle =
+        kept && !rehash ? kept : TraceHandle::open(trc);
+    auto digests = trace::digestArtifacts(prefix, handle->digest);
     const uint64_t identity = trace::combinedArtifactDigest(digests);
 
     std::unique_lock<std::mutex> lock(mutex_);
+    if (rehash) {
+        ++counters_.traceRehashes;
+        cacheCounter("service.trace_rehashes").add();
+    }
     auto it = entries_.find(prefix);
     if (it != entries_.end()) {
         if (it->second.session->identity == identity) {
             ++counters_.hits;
             cacheCounter("service.cache_hits").add();
             touchLocked(prefix, it->second);
+            // A byte-identical republish: keep the new inode's stamp
+            // so the next acquire is a plain stat again.
+            it->second.trace = handle;
             if (was_hit)
                 *was_hit = true;
             return it->second.session;
         }
         // The files changed under the prefix: the entry describes a
         // recording that no longer exists on disk, and so do any plans
-        // transcoded from it.
+        // transcoded from it and any answers computed from it.
         ++counters_.invalidations;
         cacheCounter("service.cache_invalidations").add();
-        dropPlansForIdentityLocked(it->second.session->identity);
+        dropDerivedLocked(it->second.session->identity);
         removeLocked(prefix);
     }
 
@@ -150,7 +272,7 @@ SessionCache::acquire(const std::string &prefix, bool *was_hit)
         if (build->error)
             std::rethrow_exception(build->error);
         if (entries_.find(prefix) == entries_.end())
-            insertLocked(prefix, build->session);
+            insertLocked(prefix, build->session, handle);
         if (was_hit)
             *was_hit = true; // The forward pass was shared, not re-run.
         return build->session;
@@ -175,7 +297,7 @@ SessionCache::acquire(const std::string &prefix, bool *was_hit)
     lock.lock();
     ++counters_.built;
     cacheCounter("service.sessions_built").add();
-    insertLocked(prefix, session);
+    insertLocked(prefix, session, handle);
     building_.erase(identity);
     build->session = session;
     build->done = true;
@@ -185,7 +307,8 @@ SessionCache::acquire(const std::string &prefix, bool *was_hit)
 
 void
 SessionCache::insertLocked(const std::string &prefix,
-                           std::shared_ptr<const Session> session)
+                           std::shared_ptr<const Session> session,
+                           std::shared_ptr<const TraceHandle> trace)
 {
     // A racing rebuild of the same prefix (files changed while another
     // build was in flight) may have landed first; replace it cleanly
@@ -193,24 +316,10 @@ SessionCache::insertLocked(const std::string &prefix,
     removeLocked(prefix);
     lru_.push_front(prefix);
     bytes_ += session->approxBytes;
-    entries_[prefix] = Entry{std::move(session), lru_.begin()};
-
-    // Over budget, cold plans go before cold sessions: rebuilding a
-    // plan is one transcode, rebuilding a session is a forward pass.
-    evictPlansLocked(std::string());
-
-    // Evict from the cold end until the budget holds; the entry just
-    // inserted is exempt, since a cache that cannot hold the session
-    // being served would thrash forever.
-    while (bytes_ > budget_ && lru_.size() > 1) {
-        const std::string victim = lru_.back();
-        ++counters_.evictions;
-        cacheCounter("service.cache_evictions").add();
-        removeLocked(victim);
-    }
-    MetricRegistry::global().gauge("service.cache_bytes").set(bytes_);
-    MetricRegistry::global().gauge("service.cache_entries")
-        .set(entries_.size());
+    entries_[prefix] =
+        Entry{std::move(session), lru_.begin(), std::move(trace)};
+    evictLocked();
+    publishGaugesLocked();
 }
 
 void
@@ -222,9 +331,7 @@ SessionCache::removeLocked(const std::string &prefix)
     bytes_ -= it->second.session->approxBytes;
     lru_.erase(it->second.lruIt);
     entries_.erase(it);
-    MetricRegistry::global().gauge("service.cache_bytes").set(bytes_);
-    MetricRegistry::global().gauge("service.cache_entries")
-        .set(entries_.size());
+    publishGaugesLocked();
 }
 
 void
@@ -310,7 +417,12 @@ SessionCache::acquirePlan(const std::shared_ptr<const Session> &session,
         entry.session = session;
         entry.identity = session->identity;
         entry.bytes = plan->approxBytes();
+        const uint64_t evicted = counters_.planEvictions;
         insertPlanLocked(key, std::move(entry));
+        if (counters_.planEvictions != evicted) {
+            lock.unlock();
+            releaseFreedMemory();
+        }
     }
     return plan;
 }
@@ -324,8 +436,8 @@ SessionCache::insertPlanLocked(const std::string &key, PlanEntry entry)
     bytes_ += entry.bytes;
     planBytes_ += entry.bytes;
     planEntries_[key] = std::move(entry);
-    evictPlansLocked(key);
-    publishPlanGaugesLocked();
+    evictLocked();
+    publishGaugesLocked();
 }
 
 void
@@ -338,42 +450,107 @@ SessionCache::removePlanLocked(const std::string &key)
     planBytes_ -= it->second.bytes;
     planLru_.erase(it->second.lruIt);
     planEntries_.erase(it);
-    publishPlanGaugesLocked();
+}
+
+std::shared_ptr<const SliceAnswer>
+SessionCache::findAnswer(const Session &session, size_t window_end,
+                         slicer::CriteriaMode mode)
+{
+    const std::string key = memoKey(session, window_end, mode);
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = memoEntries_.find(key);
+    if (it == memoEntries_.end())
+        return nullptr;
+    ++counters_.memoHits;
+    cacheCounter("service.memo_hits").add();
+    memoLru_.erase(it->second.lruIt);
+    memoLru_.push_front(key);
+    it->second.lruIt = memoLru_.begin();
+    return it->second.answer;
 }
 
 void
-SessionCache::evictPlansLocked(const std::string &exempt)
+SessionCache::storeAnswer(const Session &session, size_t window_end,
+                          slicer::CriteriaMode mode,
+                          std::shared_ptr<const SliceAnswer> answer)
 {
-    // The plan just inserted (if any) is exempt for the same reason the
-    // newest session is: a cache that cannot hold what it is serving
+    const std::string key = memoKey(session, window_end, mode);
+    std::lock_guard<std::mutex> lock(mutex_);
+    removeMemoLocked(key); // racing computations of one key: last wins
+    memoLru_.push_front(key);
+    MemoEntry entry;
+    entry.bytes = answerBytes(key, *answer);
+    entry.answer = std::move(answer);
+    entry.lruIt = memoLru_.begin();
+    entry.identity = session.identity;
+    bytes_ += entry.bytes;
+    memoEntries_[key] = std::move(entry);
+    evictLocked();
+    publishGaugesLocked();
+}
+
+void
+SessionCache::removeMemoLocked(const std::string &key)
+{
+    auto it = memoEntries_.find(key);
+    if (it == memoEntries_.end())
+        return;
+    bytes_ -= it->second.bytes;
+    memoLru_.erase(it->second.lruIt);
+    memoEntries_.erase(it);
+}
+
+void
+SessionCache::evictLocked()
+{
+    // Cheapest rebuild first: a plan is one transcode, an answer one
+    // slice, a session a whole forward pass. The newest entry of each
+    // kind stays, since a cache that cannot hold what it is serving
     // would thrash forever.
-    while (bytes_ > budget_ && !planLru_.empty() &&
-           planLru_.back() != exempt) {
-        const std::string victim = planLru_.back();
+    while (bytes_ > budget_ && planLru_.size() > 1) {
         ++counters_.planEvictions;
         cacheCounter("service.plan_evictions").add();
-        removePlanLocked(victim);
+        removePlanLocked(planLru_.back());
+    }
+    while (bytes_ > budget_ && memoLru_.size() > 1) {
+        ++counters_.memoEvictions;
+        cacheCounter("service.memo_evictions").add();
+        removeMemoLocked(memoLru_.back());
+    }
+    while (bytes_ > budget_ && lru_.size() > 1) {
+        ++counters_.evictions;
+        cacheCounter("service.cache_evictions").add();
+        removeLocked(lru_.back());
     }
 }
 
 void
-SessionCache::dropPlansForIdentityLocked(uint64_t identity)
+SessionCache::dropDerivedLocked(uint64_t identity)
 {
-    std::vector<std::string> victims;
+    std::vector<std::string> plans;
     for (const auto &kv : planEntries_)
         if (kv.second.identity == identity)
-            victims.push_back(kv.first);
-    for (const auto &key : victims)
+            plans.push_back(kv.first);
+    for (const auto &key : plans)
         removePlanLocked(key);
+    std::vector<std::string> answers;
+    for (const auto &kv : memoEntries_)
+        if (kv.second.identity == identity)
+            answers.push_back(kv.first);
+    for (const auto &key : answers)
+        removeMemoLocked(key);
+    publishGaugesLocked();
 }
 
 void
-SessionCache::publishPlanGaugesLocked()
+SessionCache::publishGaugesLocked()
 {
-    MetricRegistry::global().gauge("service.plan_bytes").set(planBytes_);
-    MetricRegistry::global().gauge("service.plan_entries")
-        .set(planEntries_.size());
-    MetricRegistry::global().gauge("service.cache_bytes").set(bytes_);
+    auto &registry = MetricRegistry::global();
+    registry.gauge("service.cache_bytes").set(bytes_);
+    registry.gauge("service.cache_entries").set(entries_.size());
+    registry.gauge("service.plan_bytes").set(planBytes_);
+    registry.gauge("service.plan_entries").set(planEntries_.size());
+    registry.gauge("service.memo_entries").set(memoEntries_.size());
 }
 
 SessionCache::Stats
@@ -386,6 +563,7 @@ SessionCache::stats() const
     out.byteBudget = budget_;
     out.planEntries = planEntries_.size();
     out.planBytes = planBytes_;
+    out.memoEntries = memoEntries_.size();
     return out;
 }
 
@@ -397,12 +575,11 @@ SessionCache::clear()
     lru_.clear();
     planEntries_.clear();
     planLru_.clear();
+    memoEntries_.clear();
+    memoLru_.clear();
     bytes_ = 0;
     planBytes_ = 0;
-    MetricRegistry::global().gauge("service.cache_bytes").set(0);
-    MetricRegistry::global().gauge("service.cache_entries").set(0);
-    MetricRegistry::global().gauge("service.plan_bytes").set(0);
-    MetricRegistry::global().gauge("service.plan_entries").set(0);
+    publishGaugesLocked();
 }
 
 } // namespace service

@@ -10,14 +10,33 @@
  * CFGs, postdominators, and the sealed control-dependence map. Repeat
  * queries against a cached session skip the entire forward pass.
  *
- * Cache keying follows the artifact digests (FNV-1a-64 of the .trc/
- * .sym/.crit/.meta bytes): a prefix whose files changed on disk is a
- * different recording and invalidates its stale entry. Entries are
- * evicted least-recently-used once the configured byte budget is
- * exceeded; sessions handed out as shared_ptr stay alive for their
- * holders even after eviction. Concurrent opens of the same recording
- * collapse onto one forward pass — later callers wait for the builder
- * instead of duplicating it.
+ * Identity. A session is keyed by the fold of its artifact digests
+ * (FNV-1a-64 of the .trc/.sym/.crit/.meta bytes): a prefix whose files
+ * changed on disk is a different recording and invalidates its stale
+ * entry, together with its plans and memoized answers. The digests are
+ * computed once, when the session is built; the .trc is read through a
+ * descriptor the entry keeps open, so its inode cannot be recycled,
+ * and the descriptor's fstat() is kept with it. Each later acquire
+ * re-hashes only the three small sidecars (they are rewritten in place)
+ * and stat()s the .trc: a matching stat is the same published file,
+ * because a .trc is only ever replaced by rename (TraceWriter's atomic
+ * publication), so a hit reads no byte of the trace. A mismatch
+ * re-hashes the .trc; a byte-identical republish refreshes the kept
+ * stat and stays a hit.
+ *
+ * Results. The cache also keeps the result memo: the finished answer
+ * (counts, digest, category shares — never the verdict vector) of each
+ * query, keyed by (identity, window end, criteria mode). A repeated
+ * query is answered from it without a plan, a record scan, or a
+ * categorize pass. Epoch plans (slicer/epoch.hh) are cached here too,
+ * per (identity, window), and hold no results of their own.
+ *
+ * Sessions, plans, and answers share one byte budget. Over it, cold
+ * plans are evicted first, then cold answers, then cold sessions;
+ * everything handed out as shared_ptr stays alive for its holders
+ * even after eviction. Concurrent opens of the same recording collapse
+ * onto one forward pass — later callers wait for the builder instead
+ * of duplicating it — and so do concurrent builds of one plan.
  */
 
 #ifndef WEBSLICE_SERVICE_SESSION_CACHE_HH
@@ -36,6 +55,7 @@
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
 #include "slicer/epoch.hh"
+#include "slicer/slicer.hh"
 #include "trace/artifacts.hh"
 #include "trace/trace_file.hh"
 
@@ -69,6 +89,25 @@ struct Session
     size_t windowEnd(bool no_window, uint64_t end_override) const;
 };
 
+/**
+ * The finished answer to one query, as the result memo keeps it:
+ * everything a result frame says about the slice, but not the
+ * per-record verdicts it was computed from.
+ */
+struct SliceAnswer
+{
+    uint64_t windowEnd = 0;
+    uint64_t instructionsAnalyzed = 0;
+    uint64_t sliceInstructions = 0;
+    uint64_t criteriaBytesSeeded = 0;
+    double slicePercent = 0.0;
+    /** FNV-1a-64 of the verdict bytes (in_slice_fnv1a). */
+    uint64_t inSliceFnv1a = 0;
+    double categoryCoveragePercent = 0.0;
+    /** Non-zero category shares, in Categorizer::reportOrder(). */
+    std::vector<std::pair<std::string, double>> categoryShares;
+};
+
 class SessionCache
 {
   public:
@@ -86,9 +125,11 @@ class SessionCache
 
     /**
      * Get the session for `prefix`, building it if absent or stale.
-     * Throws FatalError (via the loaders, captured) when the artifacts
-     * are missing or malformed — the message carries the loader's
-     * file+offset diagnostic for the client.
+     * A cached entry is checked by re-hashing the sidecars and
+     * stat()ing the .trc; only a changed stat re-reads the trace (see
+     * the file comment). Throws FatalError (via the loaders, captured)
+     * when the artifacts are missing or malformed — the message
+     * carries the loader's file+offset diagnostic for the client.
      *
      * @param was_hit set to true when the forward pass was skipped
      *                (cache hit or joined an in-flight build).
@@ -117,6 +158,22 @@ class SessionCache
     acquirePlan(const std::shared_ptr<const Session> &session,
                 size_t window_end, bool *was_hit = nullptr);
 
+    /**
+     * The memoized answer to (`session`'s identity, `window_end`,
+     * `mode`), or null. A hit refreshes the answer's LRU position.
+     */
+    std::shared_ptr<const SliceAnswer>
+    findAnswer(const Session &session, size_t window_end,
+               slicer::CriteriaMode mode);
+
+    /**
+     * Memoize `answer` under the same key; charged to the byte budget
+     * and dropped with the session's identity on invalidation.
+     */
+    void storeAnswer(const Session &session, size_t window_end,
+                     slicer::CriteriaMode mode,
+                     std::shared_ptr<const SliceAnswer> answer);
+
     /** Cache observability (also published as service.* metrics). */
     struct Stats
     {
@@ -138,6 +195,14 @@ class SessionCache
         uint64_t planBuilds = 0;
         uint64_t planEvictions = 0;
         uint64_t planWaits = 0; ///< Joins onto an in-flight plan build.
+
+        /** Result memo (bytes are included in `bytes` too). */
+        uint64_t memoEntries = 0;
+        uint64_t memoHits = 0;
+        uint64_t memoEvictions = 0;
+
+        /** .trc files re-read because a cached entry's stat changed. */
+        uint64_t traceRehashes = 0;
     };
 
     Stats stats() const;
@@ -153,10 +218,16 @@ class SessionCache
         std::exception_ptr error;
     };
 
+    /** An open .trc, its fstat() stamp, and the digest of its bytes
+     *  (defined in the .cc). */
+    struct TraceHandle;
+
     struct Entry
     {
         std::shared_ptr<const Session> session;
         std::list<std::string>::iterator lruIt;
+        /** The .trc the identity was hashed from, held open. */
+        std::shared_ptr<const TraceHandle> trace;
     };
 
     struct PlanBuilding
@@ -177,6 +248,14 @@ class SessionCache
         uint64_t bytes = 0;
     };
 
+    struct MemoEntry
+    {
+        std::shared_ptr<const SliceAnswer> answer;
+        std::list<std::string>::iterator lruIt;
+        uint64_t identity = 0;
+        uint64_t bytes = 0;
+    };
+
     std::shared_ptr<Session>
     buildSession(const std::string &prefix,
                  std::vector<trace::ArtifactDigest> digests,
@@ -184,25 +263,31 @@ class SessionCache
 
     /** Insert under the lock; evicts LRU entries beyond the budget. */
     void insertLocked(const std::string &prefix,
-                      std::shared_ptr<const Session> session);
+                      std::shared_ptr<const Session> session,
+                      std::shared_ptr<const TraceHandle> trace);
 
     void removeLocked(const std::string &prefix);
 
     /** Move `prefix` to the front of the LRU list. */
     void touchLocked(const std::string &prefix, Entry &entry);
 
-    /** Insert a built plan under the lock; evicts cold plans first. */
+    /** Insert a built plan under the lock; evicts beyond the budget. */
     void insertPlanLocked(const std::string &key, PlanEntry entry);
 
     void removePlanLocked(const std::string &key);
 
-    /** Evict cold plans (never `exempt`) while over the byte budget. */
-    void evictPlansLocked(const std::string &exempt);
+    void removeMemoLocked(const std::string &key);
 
-    /** Drop cached plans built from a now-invalidated recording. */
-    void dropPlansForIdentityLocked(uint64_t identity);
+    /**
+     * While over the byte budget, evict cold plans, then cold answers,
+     * then cold sessions. The newest entry of each kind is exempt.
+     */
+    void evictLocked();
 
-    void publishPlanGaugesLocked();
+    /** Drop the plans and answers of a now-invalidated recording. */
+    void dropDerivedLocked(uint64_t identity);
+
+    void publishGaugesLocked();
 
     const uint64_t budget_;
     const int forwardJobs_;
@@ -215,6 +300,8 @@ class SessionCache
     std::unordered_map<std::string, PlanEntry> planEntries_;
     std::list<std::string> planLru_; ///< Front = most recently used.
     std::map<std::string, std::shared_ptr<PlanBuilding>> planBuilding_;
+    std::unordered_map<std::string, MemoEntry> memoEntries_;
+    std::list<std::string> memoLru_; ///< Front = most recently used.
     uint64_t bytes_ = 0;
     uint64_t planBytes_ = 0; ///< Plans' share of bytes_.
     Stats counters_;

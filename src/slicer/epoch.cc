@@ -278,8 +278,9 @@ class EpochTranscoder
             // Pending sets only ever receive pcs from dependence lists,
             // so a branch outside the universe can never be erased from
             // one — it is a state no-op. With control deps disabled the
-            // universe is empty and every branch elides.
-            if (!universe_ || !universe_->contains(rec.pc)) {
+            // universe is empty and every branch elides. The universe
+            // is shared by every transcode thread, hence peek().
+            if (!universe_ || !universe_->peek(rec.pc)) {
                 ++data_.elidedRecords;
                 return;
             }
@@ -820,22 +821,6 @@ struct EpochPlan::Data
 
     /** Cached approxBytes() value. */
     uint64_t bytes = 0;
-
-    /**
-     * Memoized slice results, one slot per criteria mode. Once a plan
-     * is compatible, the only semantic inputs left are the mode and the
-     * criteria content — job counts are execution knobs with
-     * bit-identical results — so a repeat query would recompute the
-     * identical verdict vector. Bounded by construction (one entry per
-     * mode); the capacity is charged into approxBytes() up front.
-     */
-    struct Memo
-    {
-        uint64_t criteriaFingerprint = 0;
-        std::shared_ptr<const SliceResult> result;
-    };
-    mutable std::mutex memoMutex;
-    mutable std::array<Memo, 2> memo;
 };
 
 EpochPlan::EpochPlan() : data(std::make_unique<Data>()) {}
@@ -912,8 +897,15 @@ buildEpochPlan(std::span<const Record> records, const graph::CfgSet &cfgs,
     d.includeRegisterDeps = options.includeRegisterDeps;
     d.epochs.resize(epoch_count);
 
+    // One transcode pool for the process, one build at a time: a build
+    // already uses every core, and a daemon builds hundreds of plans.
+    // Long-lived threads keep reusing the allocator arenas that hold
+    // plan memory instead of scattering each plan over fresh ones, and
+    // at most one plan is in flight outside the cache's byte budget.
+    static ThreadPool pool(ThreadPool::resolveJobs(0) - 1);
+    static std::mutex one_build;
+    std::lock_guard<std::mutex> building(one_build);
     std::atomic<bool> failed{false};
-    ThreadPool pool(ThreadPool::resolveJobs(0) - 1);
     TaskGroup group;
     for (size_t k = 0; k < epoch_count; ++k) {
         pool.post(group, [&, k] {
@@ -940,8 +932,6 @@ buildEpochPlan(std::span<const Record> records, const graph::CfgSet &cfgs,
         bytes += epochApproxBytes(ep);
         elided += ep.elidedRecords;
     }
-    // Result-memo capacity: one verdict vector per criteria mode.
-    bytes += 2 * d.recordCount;
     d.bytes = bytes;
 
     auto &registry = MetricRegistry::global();
@@ -961,23 +951,6 @@ computeSliceWithPlan(const EpochPlan &plan,
              "epoch plan is not compatible with the requested options");
     const size_t epoch_count = d.epochs.size();
     const size_t record_count = d.recordCount;
-
-    // Same mode + same criteria content over a compatible plan is the
-    // same slice; answer repeats from the per-plan memo instead of
-    // re-walking the window.
-    const size_t mode_slot =
-        options.mode == CriteriaMode::Syscalls ? 1 : 0;
-    const uint64_t criteria_fp = criteria.fingerprint();
-    {
-        std::lock_guard<std::mutex> lock(d.memoMutex);
-        const auto &slot = d.memo[mode_slot];
-        if (slot.result && slot.criteriaFingerprint == criteria_fp) {
-            MetricRegistry::global().counter("slicer.memo_hits").add(1);
-            SliceResult copy = *slot.result;
-            publishSliceMetrics(copy);
-            return copy;
-        }
-    }
 
     SliceResult result;
     result.inSlice.assign(record_count, 0);
@@ -1004,12 +977,6 @@ computeSliceWithPlan(const EpochPlan &plan,
 
     MetricRegistry::global().counter("slicer.epochs_skipped").add(skipped);
     publishSliceMetrics(result);
-    {
-        std::lock_guard<std::mutex> lock(d.memoMutex);
-        auto &slot = d.memo[mode_slot];
-        slot.criteriaFingerprint = criteria_fp;
-        slot.result = std::make_shared<SliceResult>(result);
-    }
     return result;
 }
 

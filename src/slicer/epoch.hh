@@ -22,8 +22,9 @@
  *     bits, counters, and peaks as they go.
  *
  * Epochs whose summary proves the incoming state passes through
- * unchanged are skipped, and a repeated criterion is answered from a
- * per-plan memo.
+ * unchanged are skipped. The plan holds no results: every query
+ * replays. A repeated query is answered before it reaches a plan, from
+ * the service's session-level result memo (service/session_cache.hh).
  *
  * Because the replay runs the same transition rules as the sequential
  * kernel over the same state types (slicer/kernel.hh), the output is
@@ -94,7 +95,8 @@ class EpochPlan
 
 /**
  * Transcode `records` into a reusable EpochPlan for the window
- * [0, min(options.endIndex, records.size())), on all hardware threads.
+ * [0, min(options.endIndex, records.size())), on a process-wide pool of
+ * all hardware threads; concurrent calls build one at a time.
  * Only the dependence knobs and the window of `options` matter; mode
  * and job counts do not. The epoch count depends only on the window
  * length (EpochPlanner::boundariesOverrideForTesting replaces it).

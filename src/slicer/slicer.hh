@@ -102,12 +102,11 @@ struct SlicerOptions
      * criterion-independent), computeSlice skips the transcode pass
      * entirely and replays the cached ops; per-epoch gen/kill summaries
      * additionally let it skip epochs the query's live set provably
-     * passes through unchanged, and a repeat of an identical semantic
-     * criterion (same mode and criteria content — job counts are
-     * execution knobs) is answered from a per-plan result memo without
-     * walking at all. Incompatible or null plans fall back to
-     * the sequential walk. Non-owning: the plan (and the control-dependence
-     * map it points into) must outlive the call.
+     * passes through unchanged. Every call replays: the plan memoizes
+     * no results (repeats are answered by the service's result memo,
+     * service/session_cache.hh). Incompatible or null plans fall back
+     * to the sequential walk. Non-owning: the plan (and the
+     * control-dependence map it points into) must outlive the call.
      */
     const EpochPlan *reusePlan = nullptr;
 };

@@ -50,6 +50,20 @@ class FlatMap64
     }
 
     /**
+     * find() that writes nothing, not even the probe counter: the one
+     * lookup that is safe to call from many threads at once on a map
+     * that nobody mutates.
+     */
+    const uint64_t *
+    peek(uint64_t key) const
+    {
+        if (size_ == 0)
+            return nullptr;
+        const size_t slot = slotOf(key);
+        return keys_[slot] == key ? &vals_[slot] : nullptr;
+    }
+
+    /**
      * Value slot for key, inserting a zero-initialized entry when absent.
      * The returned reference is invalidated by the next rehash or erase.
      */
@@ -147,7 +161,8 @@ class FlatMap64
         return (keys_.capacity() + vals_.capacity()) * sizeof(uint64_t);
     }
 
-    /** Total probe() calls over this map's lifetime (diagnostics). */
+    /** Total find/insert/erase probes over this map's lifetime
+     *  (diagnostics; peek() is not counted). */
     uint64_t probeCount() const { return probes_; }
 
     /** Total rehashes (growth + reserve) over this map's lifetime. */
@@ -168,14 +183,21 @@ class FlatMap64
 
     /** Slot holding key, or the empty slot where it would be inserted. */
     size_t
-    probe(uint64_t key) const
+    slotOf(uint64_t key) const
     {
-        ++probes_;
         const size_t mask = capacity() - 1;
         size_t slot = mix(key) & mask;
         while (keys_[slot] != kEmptyKey && keys_[slot] != key)
             slot = (slot + 1) & mask;
         return slot;
+    }
+
+    /** slotOf(), counted in probeCount(). */
+    size_t
+    probe(uint64_t key) const
+    {
+        ++probes_;
+        return slotOf(key);
     }
 
     void
@@ -227,6 +249,9 @@ class FlatSet64
     }
 
     bool contains(uint64_t key) const { return map_.find(key) != nullptr; }
+
+    /** contains() that writes nothing (see FlatMap64::peek). */
+    bool peek(uint64_t key) const { return map_.peek(key) != nullptr; }
 
     /** Remove key; true if it was present. */
     bool erase(uint64_t key) { return map_.erase(key); }

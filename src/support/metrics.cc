@@ -1,7 +1,11 @@
 #include "support/metrics.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -230,21 +234,34 @@ peakRssBytes()
 FileDigest
 digestFile(const std::string &path)
 {
-    FileDigest digest;
-    std::FILE *file = std::fopen(path.c_str(), "rb");
-    if (!file)
-        return digest;
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return {};
+    const FileDigest digest = digestDescriptor(fd);
+    ::close(fd);
+    return digest;
+}
 
+FileDigest
+digestDescriptor(int fd)
+{
+    FileDigest digest;
     uint64_t hash = kFnv1a64Offset;
     char buf[1 << 16];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-        hash = fnv1a64(buf, got, hash);
-        digest.bytes += got;
+    while (true) {
+        const ssize_t got = ::pread(fd, buf, sizeof(buf),
+                                    static_cast<off_t>(digest.bytes));
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got < 0)
+            return {};
+        if (got == 0)
+            break;
+        hash = fnv1a64(buf, static_cast<size_t>(got), hash);
+        digest.bytes += static_cast<uint64_t>(got);
     }
     digest.fnv1a = hash;
-    digest.ok = std::ferror(file) == 0;
-    std::fclose(file);
+    digest.ok = true;
     return digest;
 }
 

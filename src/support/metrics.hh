@@ -158,6 +158,13 @@ struct FileDigest
 /** Digest a file's contents (streamed; ok=false when unreadable). */
 FileDigest digestFile(const std::string &path);
 
+/**
+ * Digest the contents of an open file from offset 0 (positional reads,
+ * so the descriptor's own offset is left alone); equals digestFile of
+ * the same bytes.
+ */
+FileDigest digestDescriptor(int fd);
+
 /** FNV-1a-64 offset basis (the seed digestFile starts from). */
 constexpr uint64_t kFnv1a64Offset = 0xcbf29ce484222325ull;
 

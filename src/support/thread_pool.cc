@@ -147,12 +147,13 @@ TaskGroup::outstanding() const
 void
 TaskGroup::finishOne(std::exception_ptr error)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        --outstanding_;
-        if (error && !error_)
-            error_ = error;
-    }
+    // Notify under the lock: a waiter that sees outstanding_ reach zero
+    // may destroy the group as soon as it can take the lock, so the
+    // broadcast must be over by then.
+    std::lock_guard<std::mutex> lock(mutex_);
+    --outstanding_;
+    if (error && !error_)
+        error_ = error;
     done_.notify_all();
 }
 

@@ -1,6 +1,7 @@
 #include "trace/artifacts.hh"
 
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 
 namespace webslice {
@@ -8,7 +9,7 @@ namespace trace {
 
 namespace {
 
-/** Artifact extensions in report order. */
+/** Artifact extensions in report order; the trace comes first. */
 const char *const kExtensions[] = {".trc", ".sym", ".crit", ".meta"};
 
 } // namespace
@@ -26,9 +27,16 @@ loadArtifactSidecars(const std::string &prefix)
 std::vector<ArtifactDigest>
 digestArtifacts(const std::string &prefix)
 {
+    return digestArtifacts(prefix, digestFile(prefix + kExtensions[0]));
+}
+
+std::vector<ArtifactDigest>
+digestArtifacts(const std::string &prefix, const FileDigest &trace)
+{
     std::vector<ArtifactDigest> digests;
-    for (const char *ext : kExtensions) {
-        const std::string path = prefix + ext;
+    digests.push_back({prefix + kExtensions[0], trace});
+    for (size_t i = 1; i < std::size(kExtensions); ++i) {
+        const std::string path = prefix + kExtensions[i];
         digests.push_back({path, digestFile(path)});
     }
     return digests;

@@ -58,6 +58,13 @@ struct ArtifactDigest
 std::vector<ArtifactDigest> digestArtifacts(const std::string &prefix);
 
 /**
+ * digestArtifacts() for a caller that already holds the .trc's digest:
+ * only the three sidecars are read.
+ */
+std::vector<ArtifactDigest> digestArtifacts(const std::string &prefix,
+                                            const FileDigest &trace);
+
+/**
  * Fold a digest list into one FNV-1a-64 identity for the whole
  * recording. Any changed byte in any artifact changes the fold; a
  * missing-but-listed artifact contributes a fixed marker so presence

@@ -106,27 +106,6 @@ CriteriaSet::allRanges() const
     return out;
 }
 
-uint64_t
-CriteriaSet::fingerprint() const
-{
-    std::vector<uint32_t> markers;
-    markers.reserve(byMarker_.size());
-    for (const auto &kv : byMarker_)
-        markers.push_back(kv.first);
-    std::sort(markers.begin(), markers.end());
-    std::vector<uint64_t> words;
-    words.reserve(1 + 3 * markers.size());
-    words.push_back(markers.size());
-    for (const uint32_t marker : markers) {
-        words.push_back(marker);
-        for (const auto &range : byMarker_.at(marker)) {
-            words.push_back(range.addr);
-            words.push_back(range.size);
-        }
-    }
-    return fnv1a64(words.data(), words.size() * sizeof(uint64_t));
-}
-
 void
 CriteriaSet::save(const std::string &path) const
 {

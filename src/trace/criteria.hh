@@ -60,14 +60,6 @@ class CriteriaSet
     /** Total bytes across all ranges of all markers. */
     uint64_t totalBytes() const;
 
-    /**
-     * Order-independent content hash of the whole set (markers sorted,
-     * each marker's ranges in insertion order). Two sets with equal
-     * fingerprints seed identical live bytes, so slice results keyed by
-     * (inputs, mode, fingerprint) may be reused across queries.
-     */
-    uint64_t fingerprint() const;
-
     /** Write to a text sidecar file ("marker addr size" per line). */
     void save(const std::string &path) const;
 

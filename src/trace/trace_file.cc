@@ -260,10 +260,9 @@ sniffTraceFormat(const std::string &path)
 }
 
 TraceWriter::TraceWriter(const std::string &path, bool block_index,
-                         TraceFormat format, bool atomic)
-    : path_(atomic ? path + ".tmp" : path), finalPath_(path),
-      writeIndex_(block_index || format == TraceFormat::V2),
-      atomic_(atomic)
+                         TraceFormat format, bool /*atomic*/)
+    : path_(path + ".tmp"), finalPath_(path),
+      writeIndex_(block_index || format == TraceFormat::V2)
 {
     file_ = std::fopen(path_.c_str(), "wb");
     fatal_if(!file_, "cannot create trace file ", path_);
@@ -370,17 +369,14 @@ TraceWriter::finishFile()
 #if defined(__unix__) || defined(__APPLE__)
     // Durability before visibility: the rename below must never
     // publish a file whose bytes are still in the page cache only.
-    if (atomic_)
-        fatal_if(::fsync(::fileno(file_)) != 0,
-                 "cannot fsync trace file ", path_);
+    fatal_if(::fsync(::fileno(file_)) != 0, "cannot fsync trace file ",
+             path_);
 #endif
     std::fclose(file_);
     file_ = nullptr;
-    if (atomic_) {
-        fatal_if(std::rename(path_.c_str(), finalPath_.c_str()) != 0,
-                 "cannot rename trace file ", path_, " into place as ",
-                 finalPath_);
-    }
+    fatal_if(std::rename(path_.c_str(), finalPath_.c_str()) != 0,
+             "cannot rename trace file ", path_, " into place as ",
+             finalPath_);
 }
 
 std::vector<Record>

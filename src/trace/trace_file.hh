@@ -4,7 +4,9 @@
  *
  * A trace file is a small header followed by densely packed 32-byte
  * Records. Four access paths are provided:
- *  - TraceWriter: append records while the traced program runs;
+ *  - TraceWriter: append records while the traced program runs, then
+ *    publish the file atomically (temp file, fsync, rename) on close —
+ *    the only way this library writes a .trc;
  *  - loadTrace(): read an entire trace into memory (the common case for
  *    our benchmark-sized traces);
  *  - MappedTrace: zero-copy mmap view of a whole trace — the records are
@@ -70,7 +72,18 @@ static_assert(sizeof(TraceHeader) == 16, "header layout must stay fixed");
 /** Records per block of the v1 read grid and of its WEBTIDX1 footer. */
 constexpr size_t kTraceIndexBlockRecords = 1 << 16;
 
-/** Buffered appender of trace records to a file. */
+/**
+ * Buffered appender of trace records to a file.
+ *
+ * Publication is always atomic: records go to <path>.tmp, and close()
+ * fsyncs it and renames it over <path>. A crash mid-record therefore
+ * never leaves a truncated file under the final name, and every
+ * (re)publication of a trace is a new inode, which is what lets the
+ * service's session cache trust a matching stat() of a .trc it has
+ * already hashed (service/session_cache.hh). Anything that replaces a
+ * .trc by other means must keep that contract: write a new file and
+ * rename it into place, never rewrite the old one.
+ */
 class TraceWriter
 {
   public:
@@ -80,14 +93,12 @@ class TraceWriter
      *                    index is structural and always written)
      * @param format      on-disk format; v1 stays the default so every
      *                    existing consumer keeps reading its traces
-     * @param atomic      write to <path>.tmp and fsync + rename into
-     *                    place on close(), so a crash mid-record can
-     *                    never leave a truncated file under the final
-     *                    name that later passes loading
+     * @param atomic      ignored (every writer publishes atomically);
+     *                    accepted for callers that still pass it
      */
     explicit TraceWriter(const std::string &path, bool block_index = false,
                          TraceFormat format = TraceFormat::V1,
-                         bool atomic = false);
+                         bool atomic = true);
     ~TraceWriter();
 
     TraceWriter(const TraceWriter &) = delete;
@@ -105,16 +116,15 @@ class TraceWriter
   private:
     void flush();
 
-    /** Flush + (when atomic) fsync, close, and rename into place. */
+    /** Flush, fsync, close, and rename into place. */
     void finishFile();
 
-    std::string path_;      ///< File being written (temp when atomic).
-    std::string finalPath_; ///< Rename target; equals path_ otherwise.
+    std::string path_;      ///< The temp file being written.
+    std::string finalPath_; ///< Rename target.
     std::FILE *file_ = nullptr;
     std::vector<Record> buffer_;
     uint64_t count_ = 0;
     bool writeIndex_ = false;
-    bool atomic_ = false;
     // WEBTIDX1 footer counts, one slot per block (block_index only).
     std::vector<uint32_t> blockInstructions_;
     std::vector<uint32_t> blockPseudoRecords_;
@@ -161,7 +171,7 @@ class MappedTrace
     std::vector<Record> fallback_;
 };
 
-/** Write a whole in-memory trace to a file. */
+/** Write a whole in-memory trace to a file (atomically, via TraceWriter). */
 void saveTrace(const std::string &path, const std::vector<Record> &records,
                TraceFormat format = TraceFormat::V1);
 

@@ -27,6 +27,7 @@
 #include "trace/criteria.hh"
 #include "trace/run_meta.hh"
 #include "trace/value_log.hh"
+#include "temp_dir.hh"
 
 namespace webslice {
 namespace check {
@@ -40,12 +41,6 @@ using sim::TracedScope;
 using sim::Value;
 using trace::Record;
 using trace::RecordKind;
-
-std::string
-tempPath(const std::string &stem)
-{
-    return std::string(::testing::TempDir()) + stem;
-}
 
 /**
  * The test_slicer_properties program family, with a value log and

@@ -34,6 +34,7 @@
 #include "support/metrics.hh"
 #include "support/rng.hh"
 #include "trace/trace_file.hh"
+#include "temp_dir.hh"
 
 namespace webslice {
 namespace slicer {
@@ -96,11 +97,7 @@ expectIdentical(const SliceResult &oracle, const SliceResult &epoch,
         << what;
 }
 
-/**
- * Build a fresh plan under `options` and replay it on `jobs` threads. A
- * fresh plan per replay keeps the per-plan result memo from answering
- * in place of the walk under test.
- */
+/** Build a fresh plan under `options` and replay it on `jobs` threads. */
 SliceResult
 replayFreshPlan(const Machine &machine, const ForwardResult &fwd,
                 SlicerOptions options, int jobs)
@@ -629,7 +626,7 @@ TEST(EpochPlan, ReuseAcrossCriteriaIsBitIdentical)
     }
 }
 
-TEST(EpochPlan, RepeatCriterionIsServedFromTheResultMemo)
+TEST(EpochPlan, ChangedCriteriaOverASharedPlanSliceCorrectly)
 {
     const Machine machine = randomProgram(12);
     const ForwardResult fwd(machine);
@@ -639,24 +636,22 @@ TEST(EpochPlan, RepeatCriterionIsServedFromTheResultMemo)
     ASSERT_TRUE(plan);
     options.reusePlan = plan.get();
 
+    // The plan holds no results: a repeat replays and matches.
     const auto first = computeSlice(machine.records(), fwd.cfgs,
                                     fwd.deps, machine.pixelCriteria(),
                                     options);
-    const uint64_t memo = counterValue("slicer.memo_hits");
     options.backwardJobs = 4; // an execution knob, not a criterion
     const auto second = computeSlice(machine.records(), fwd.cfgs,
                                      fwd.deps, machine.pixelCriteria(),
                                      options);
-    EXPECT_EQ(counterValue("slicer.memo_hits"), memo + 1);
-    expectIdentical(first, second, "memoized repeat");
+    expectIdentical(first, second, "repeat over one plan");
 
-    // Different criteria content must miss the memo (and still slice
-    // correctly against the shared transcode).
+    // Different criteria content over the same transcode must slice
+    // exactly as a plan-less walk of those criteria does.
     trace::CriteriaSet other;
     other.add(/*marker=*/0, 0x100000, 4);
     const auto third = computeSlice(machine.records(), fwd.cfgs,
                                     fwd.deps, other, options);
-    EXPECT_EQ(counterValue("slicer.memo_hits"), memo + 1);
     options.reusePlan = nullptr;
     options.backwardJobs = 1;
     const auto fresh = computeSlice(machine.records(), fwd.cfgs,
@@ -835,7 +830,7 @@ struct BigSavedProgram
         });
         machine.run();
 
-        path = std::string(::testing::TempDir()) + "epoch_big.trc";
+        path = tempPath("epoch_big.trc");
         trace::TraceWriter writer(path, /*block_index=*/true);
         for (const auto &rec : machine.records())
             writer.append(rec);

@@ -21,15 +21,10 @@
 #include "trace/criteria.hh"
 #include "trace/symtab.hh"
 #include "trace/trace_file.hh"
+#include "temp_dir.hh"
 
 namespace webslice {
 namespace {
-
-std::string
-tempPath(const std::string &stem)
-{
-    return std::string(::testing::TempDir()) + stem;
-}
 
 void
 writeBytes(const std::string &path, const std::string &bytes)

@@ -10,6 +10,7 @@
 #include "graph/control_deps.hh"
 #include "graph/postdom.hh"
 #include "sim/machine.hh"
+#include "temp_dir.hh"
 
 namespace webslice {
 namespace graph {
@@ -147,7 +148,7 @@ TEST(ControlDepMap, SaveLoadRoundTrip)
     deps.add(7, 0x2000, 0x2004);
     EXPECT_EQ(deps.pairCount(), 3u);
 
-    const std::string path = std::string(::testing::TempDir()) + "cdg.txt";
+    const std::string path = tempPath("cdg.txt");
     deps.save(path);
     ControlDepMap loaded;
     loaded.load(path);

@@ -31,6 +31,7 @@
 #include "support/metrics.hh"
 #include "support/strings.hh"
 #include "trace/trace_file.hh"
+#include "temp_dir.hh"
 
 namespace webslice {
 namespace service {
@@ -40,12 +41,6 @@ using sim::Ctx;
 using sim::Machine;
 using sim::TracedScope;
 using sim::Value;
-
-std::string
-tempPath(const std::string &stem)
-{
-    return std::string(::testing::TempDir()) + stem;
-}
 
 // ---- consistent-hash ring ------------------------------------------------
 

@@ -34,6 +34,7 @@
 #include "support/strings.hh"
 #include "trace/trace_file.hh"
 #include "workloads/sites.hh"
+#include "temp_dir.hh"
 
 #ifndef WEBSLICE_SOURCE_DIR
 #error "tests/CMakeLists.txt must define WEBSLICE_SOURCE_DIR"
@@ -87,12 +88,6 @@ smallGenerated(uint64_t seed, int workers)
     knobs.images = scenario::Level::Lo;
     knobs.workers = workers;
     return scenario::generateScenario(seed, knobs);
-}
-
-std::string
-tempPrefix(const std::string &stem)
-{
-    return std::string(::testing::TempDir()) + stem;
 }
 
 /** Delete the five artifacts recordScenario writes under `prefix`. */
@@ -171,7 +166,7 @@ TEST(Reexecution, ReproducesTheRecordedValuesBitForBit)
 
     for (const auto &[name, sc] : cases) {
         SCOPED_TRACE(name);
-        const std::string prefix = tempPrefix("reexec-" + name);
+        const std::string prefix = tempPath("reexec-" + name);
         scenario::recordScenario(sc, prefix, trace::TraceFormat::V1);
         const auto records = trace::loadTrace(prefix + ".trc");
 
@@ -188,7 +183,7 @@ TEST(Reexecution, ReproducesTheRecordedValuesBitForBit)
 
 TEST(Reexecution, NoScenarioMeansNoValues)
 {
-    const std::string prefix = tempPrefix("reexec-bare");
+    const std::string prefix = tempPath("reexec-bare");
     scenario::recordScenario(smallGenerated(5, 0), prefix,
                              trace::TraceFormat::V1);
     std::filesystem::remove(prefix + ".scn");
@@ -213,7 +208,7 @@ reexecuteAgainst(const std::string &prefix,
 
 TEST(ReexecutionDeath, FlippedRecordFieldNamesTheRecord)
 {
-    const std::string prefix = tempPrefix("reexec-flip");
+    const std::string prefix = tempPath("reexec-flip");
     scenario::recordScenario(smallGenerated(5, 0), prefix,
                              trace::TraceFormat::V1);
     auto records = trace::loadTrace(prefix + ".trc");
@@ -228,7 +223,7 @@ TEST(ReexecutionDeath, FlippedRecordFieldNamesTheRecord)
 
 TEST(ReexecutionDeath, ShortTraceNamesTheMissingRecord)
 {
-    const std::string prefix = tempPrefix("reexec-short");
+    const std::string prefix = tempPath("reexec-short");
     scenario::recordScenario(smallGenerated(5, 0), prefix,
                              trace::TraceFormat::V1);
     auto records = trace::loadTrace(prefix + ".trc");
@@ -243,7 +238,7 @@ TEST(ReexecutionDeath, ShortTraceNamesTheMissingRecord)
 
 TEST(ReexecutionDeath, UnparsableScenarioNamesFileAndLine)
 {
-    const std::string prefix = tempPrefix("reexec-garbled");
+    const std::string prefix = tempPath("reexec-garbled");
     scenario::recordScenario(smallGenerated(5, 0), prefix,
                              trace::TraceFormat::V1);
     std::ofstream(prefix + ".scn") << "scenario \"garbled\"\n"
@@ -261,7 +256,7 @@ TEST(RecordingDeath, RefusesToOverwriteItsOwnScenarioFile)
 {
     // `webslice-scenario run X.scn X`: the recording's canonical .scn
     // would replace the (commented) input.
-    const std::string prefix = tempPrefix("self");
+    const std::string prefix = tempPath("self");
     removeRecording(prefix);
     const std::string scn = prefix + ".scn";
     const std::string text =
@@ -271,7 +266,7 @@ TEST(RecordingDeath, RefusesToOverwriteItsOwnScenarioFile)
     const Scenario sc = scenario::parseScenarioFile(scn);
 
     // The same file under another spelling is refused too.
-    const std::string dir = std::string(::testing::TempDir());
+    const std::string dir = tempDir();
     const std::string respelled = dir + "./self.scn";
     for (const std::string &source : {scn, respelled}) {
         EXPECT_EXIT(scenario::recordScenario(sc, prefix,
@@ -284,7 +279,7 @@ TEST(RecordingDeath, RefusesToOverwriteItsOwnScenarioFile)
     EXPECT_FALSE(std::filesystem::exists(prefix + ".trc"));
 
     // A different prefix publishes the canonical text beside the trace.
-    const std::string other = tempPrefix("self-copy");
+    const std::string other = tempPath("self-copy");
     scenario::recordScenario(sc, other, trace::TraceFormat::V1, scn);
     EXPECT_EQ(readFile(other + ".scn"), scenario::serializeScenario(sc));
     EXPECT_EQ(readFile(scn), text);
@@ -296,7 +291,7 @@ TEST(Recording, PublishesAllFiveArtifacts)
 {
     // webslice-record and webslice-scenario both publish through
     // recordScenario; .meta's loadOnly comes from isLoadOnly.
-    const std::string prefix = tempPrefix("publish");
+    const std::string prefix = tempPath("publish");
     const Scenario sc = smallGenerated(7, 2);
     const auto summary =
         scenario::recordScenario(sc, prefix, trace::TraceFormat::V2);

@@ -2,10 +2,11 @@
  * @file
  * Tests of the slicing service: the JSON value and its defensive
  * parser, the length-prefixed frame transport, the session cache's LRU
- * eviction / digest invalidation / singleflight build, the batch
- * scheduler's bit-identity with the direct slicer plus its dedup,
- * backpressure, and timeout behavior, and an in-process daemon serving
- * a real client over a Unix socket end to end.
+ * eviction / digest invalidation / stat-checked identity / singleflight
+ * build and its result memo, the batch scheduler's bit-identity with
+ * the direct slicer plus its dedup, backpressure, and timeout
+ * behavior, and an in-process daemon serving a real client over a Unix
+ * socket end to end.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +42,7 @@
 #include "support/metrics.hh"
 #include "support/rng.hh"
 #include "trace/trace_file.hh"
+#include "temp_dir.hh"
 
 namespace webslice {
 namespace service {
@@ -48,12 +52,6 @@ using sim::Ctx;
 using sim::Machine;
 using sim::TracedScope;
 using sim::Value;
-
-std::string
-tempPath(const std::string &stem)
-{
-    return std::string(::testing::TempDir()) + stem;
-}
 
 /** Bare connected Unix-socket fd, for tests that speak raw frames. */
 int
@@ -398,6 +396,37 @@ struct SavedProgram
     }
 };
 
+/** Publish `bytes` as `path` the way TraceWriter does: a new file
+ *  renamed over the old one, so the old inode is never rewritten. */
+void
+republish(const std::string &path, const std::string &bytes)
+{
+    const std::string tmp = path + ".republish";
+    {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    ASSERT_EQ(std::rename(tmp.c_str(), path.c_str()), 0) << path;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+/** A placeholder memo answer (the cache never looks inside one). */
+std::shared_ptr<const SliceAnswer>
+dummyAnswer(uint64_t digest)
+{
+    auto answer = std::make_shared<SliceAnswer>();
+    answer->inSliceFnv1a = digest;
+    answer->categoryShares.emplace_back("layout", 12.5);
+    return answer;
+}
+
 // ---- session cache -------------------------------------------------------
 
 TEST(SessionCache, SecondAcquireIsAHit)
@@ -465,6 +494,86 @@ TEST(SessionCache, ChangedArtifactInvalidatesTheEntry)
     EXPECT_EQ(stats.invalidations, 1u);
     EXPECT_EQ(stats.built, 2u);
     EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(SessionCache, HitsReadNoTraceByte)
+{
+    const SavedProgram program("stat_hits", /*salt=*/31);
+    SessionCache cache(1ull << 30);
+    const auto first = cache.acquire(program.prefix);
+    for (int i = 0; i < 5; ++i) {
+        bool hit = false;
+        EXPECT_EQ(cache.acquire(program.prefix, &hit).get(), first.get());
+        EXPECT_TRUE(hit);
+    }
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.hits, 5u);
+    EXPECT_EQ(stats.traceRehashes, 0u); // a matching stat() suffices
+}
+
+TEST(SessionCache, RepublishedTraceInvalidatesTheEntry)
+{
+    const SavedProgram program("republish", /*salt=*/32);
+    const SavedProgram other("republish_other", /*salt=*/33);
+    // Only the trace differs: the two programs share their code.
+    ASSERT_EQ(readFile(program.prefix + ".sym"),
+              readFile(other.prefix + ".sym"));
+    ASSERT_NE(readFile(program.prefix + ".trc"),
+              readFile(other.prefix + ".trc"));
+
+    SessionCache cache(1ull << 30);
+    const auto first = cache.acquire(program.prefix);
+    const size_t window = first->windowEnd(false, UINT64_MAX);
+    cache.acquirePlan(first, window);
+    cache.storeAnswer(*first, window, slicer::CriteriaMode::PixelBuffer,
+                      dummyAnswer(1));
+    EXPECT_EQ(cache.stats().planEntries, 1u);
+    EXPECT_EQ(cache.stats().memoEntries, 1u);
+
+    republish(program.prefix + ".trc",
+              readFile(other.prefix + ".trc"));
+    bool hit = true;
+    const auto second = cache.acquire(program.prefix, &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_NE(first.get(), second.get());
+    EXPECT_NE(first->identity, second->identity);
+    EXPECT_EQ(second->trace->records().size(), other.machine.records().size());
+
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.traceRehashes, 1u);
+    EXPECT_EQ(stats.invalidations, 1u);
+    EXPECT_EQ(stats.built, 2u);
+    EXPECT_EQ(stats.planEntries, 0u);
+    EXPECT_EQ(stats.memoEntries, 0u);
+    EXPECT_EQ(cache.findAnswer(*first, window,
+                               slicer::CriteriaMode::PixelBuffer),
+              nullptr);
+}
+
+TEST(SessionCache, IdenticalRepublishStaysAHitAfterOneRehash)
+{
+    const SavedProgram program("republish_same", /*salt=*/34);
+    SessionCache cache(1ull << 30);
+    const auto first = cache.acquire(program.prefix);
+
+    // Same bytes, new inode: one re-hash proves the identity unchanged
+    // and refreshes the kept stat, so later hits re-hash nothing.
+    republish(program.prefix + ".trc",
+              readFile(program.prefix + ".trc"));
+    bool hit = false;
+    EXPECT_EQ(cache.acquire(program.prefix, &hit).get(), first.get());
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(cache.stats().traceRehashes, 1u);
+
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(cache.acquire(program.prefix, &hit).get(), first.get());
+        EXPECT_TRUE(hit);
+    }
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.traceRehashes, 1u);
+    EXPECT_EQ(stats.hits, 5u);
+    EXPECT_EQ(stats.invalidations, 0u);
+    EXPECT_EQ(stats.built, 1u);
 }
 
 TEST(SessionCache, ConcurrentAcquiresBuildOnce)
@@ -561,6 +670,35 @@ TEST(SessionCache, PlansEvictUnderTheSharedByteBudget)
     cache.acquirePlan(session, window, &hit);
     EXPECT_FALSE(hit);
     EXPECT_EQ(cache.stats().planBuilds, 3u);
+}
+
+TEST(SessionCache, AnswersEvictUnderTheSharedByteBudget)
+{
+    const SavedProgram program("memo_evict", /*salt=*/35);
+
+    // As with plans, nothing fits in one byte but the newest answer
+    // (and session) are exempt: each answer evicts the previous one.
+    SessionCache cache(/*byte_budget=*/1);
+    const auto session = cache.acquire(program.prefix);
+    const size_t window = session->windowEnd(false, UINT64_MAX);
+    cache.storeAnswer(*session, window, slicer::CriteriaMode::PixelBuffer,
+                      dummyAnswer(1));
+    EXPECT_EQ(cache.stats().memoEntries, 1u);
+    cache.storeAnswer(*session, window, slicer::CriteriaMode::Syscalls,
+                      dummyAnswer(2));
+
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.memoEntries, 1u);
+    EXPECT_EQ(stats.memoEvictions, 1u);
+    EXPECT_EQ(stats.entries, 1u); // answers go before sessions
+    EXPECT_EQ(cache.findAnswer(*session, window,
+                               slicer::CriteriaMode::PixelBuffer),
+              nullptr);
+    const auto kept = cache.findAnswer(*session, window,
+                                       slicer::CriteriaMode::Syscalls);
+    ASSERT_TRUE(kept);
+    EXPECT_EQ(kept->inSliceFnv1a, 2u);
+    EXPECT_EQ(cache.stats().memoHits, 1u);
 }
 
 TEST(SessionCache, InvalidationDropsTheRecordingsPlans)
@@ -706,7 +844,9 @@ TEST(Scheduler, ManyCriteriaOverOneSessionShareOnePlan)
 
     // Eight criterion queries against one recording: both modes, four
     // backward-job counts. Sequential waits make the first query the
-    // one (and only) plan build.
+    // one (and only) plan build and the second (the other mode) a walk
+    // over that plan; backward-jobs is an execution knob, so the other
+    // six are repeats answered from the result memo.
     for (int i = 0; i < 8; ++i) {
         SliceQuery query;
         query.mode = i % 2 ? slicer::CriteriaMode::Syscalls
@@ -716,7 +856,8 @@ TEST(Scheduler, ManyCriteriaOverOneSessionShareOnePlan)
         ASSERT_FALSE(submitted.rejected);
         const QueryResult &result = submitted.job->wait();
         ASSERT_EQ(result.status, QueryResult::Status::Ok) << result.error;
-        EXPECT_EQ(result.planHit, i != 0) << "query " << i;
+        EXPECT_EQ(result.planHit, i == 1) << "query " << i;
+        EXPECT_EQ(result.memoHit, i >= 2) << "query " << i;
 
         const auto &direct = i % 2 ? direct_syscalls : direct_pixel;
         EXPECT_EQ(result.inSliceFnv1a,
@@ -727,7 +868,9 @@ TEST(Scheduler, ManyCriteriaOverOneSessionShareOnePlan)
 
     const auto stats = cache.stats();
     EXPECT_EQ(stats.planBuilds, 1u);
-    EXPECT_EQ(stats.planHits, 7u);
+    EXPECT_EQ(stats.planHits, 1u);
+    EXPECT_EQ(stats.memoHits, 6u);
+    EXPECT_EQ(stats.memoEntries, 2u);
     EXPECT_EQ(stats.built, 1u); // one forward pass for the whole batch
 }
 
@@ -781,19 +924,110 @@ TEST(Scheduler, PlanlessModeRunsEveryQueryCold)
     Scheduler scheduler(
         cache, {/*workers=*/1, /*maxQueue=*/16, /*usePlans=*/false});
 
-    const auto direct = program.directSlice();
-    for (int i = 0; i < 2; ++i) {
+    // Two windows, so neither query is a repeat the memo answers.
+    for (const uint64_t end : {UINT64_MAX, uint64_t{50}}) {
+        slicer::SlicerOptions options;
+        options.endIndex = end;
+        const auto direct = program.directSlice(options);
         SliceQuery query;
-        query.backwardJobs = 1 + i;
+        query.endIndex = end;
         const auto submitted = scheduler.submit(program.prefix, query);
         const QueryResult &result = submitted.job->wait();
         ASSERT_EQ(result.status, QueryResult::Status::Ok) << result.error;
         EXPECT_FALSE(result.planHit);
+        EXPECT_FALSE(result.memoHit);
         EXPECT_EQ(result.inSliceFnv1a,
                   fnv1a64(direct.inSlice.data(), direct.inSlice.size()));
     }
     scheduler.drain();
     EXPECT_EQ(cache.stats().planBuilds, 0u);
+}
+
+/** Every field a result frame carries about the slice must match. */
+void
+expectSameAnswer(const QueryResult &a, const QueryResult &b)
+{
+    EXPECT_EQ(a.mode, b.mode);
+    EXPECT_EQ(a.records, b.records);
+    EXPECT_EQ(a.windowEnd, b.windowEnd);
+    EXPECT_EQ(a.instructionsAnalyzed, b.instructionsAnalyzed);
+    EXPECT_EQ(a.sliceInstructions, b.sliceInstructions);
+    EXPECT_EQ(a.criteriaBytesSeeded, b.criteriaBytesSeeded);
+    EXPECT_EQ(a.slicePercent, b.slicePercent);
+    EXPECT_EQ(a.inSliceFnv1a, b.inSliceFnv1a);
+    EXPECT_EQ(a.categoryCoveragePercent, b.categoryCoveragePercent);
+    EXPECT_EQ(a.categoryShares, b.categoryShares);
+}
+
+TEST(Scheduler, RepeatedQueryIsAMemoHit)
+{
+    for (const bool use_plans : {true, false}) {
+        SCOPED_TRACE(use_plans ? "plans on" : "plans off");
+        const SavedProgram program("sched_memo", /*salt=*/27);
+        SessionCache cache(1ull << 30);
+        Scheduler scheduler(cache, {/*workers=*/1, /*maxQueue=*/16,
+                                    /*usePlans=*/use_plans});
+
+        SliceQuery query;
+        const QueryResult first =
+            scheduler.submit(program.prefix, query).job->wait();
+        ASSERT_EQ(first.status, QueryResult::Status::Ok) << first.error;
+        EXPECT_FALSE(first.memoHit);
+        const auto before = cache.stats();
+
+        query.backwardJobs = 3; // an execution knob, not a criterion
+        const QueryResult second =
+            scheduler.submit(program.prefix, query).job->wait();
+        ASSERT_EQ(second.status, QueryResult::Status::Ok) << second.error;
+        EXPECT_TRUE(second.memoHit);
+        EXPECT_TRUE(second.cacheHit);
+        EXPECT_FALSE(second.planHit);
+        EXPECT_EQ(second.sliceMs, 0.0);
+        expectSameAnswer(first, second);
+
+        // The repeat touched no plan.
+        const auto after = cache.stats();
+        EXPECT_EQ(after.planHits, before.planHits);
+        EXPECT_EQ(after.planBuilds, before.planBuilds);
+        EXPECT_EQ(after.memoHits, before.memoHits + 1);
+        scheduler.drain();
+    }
+}
+
+TEST(Scheduler, OtherWindowOrModeMissesTheMemo)
+{
+    const SavedProgram program("sched_memo_miss", /*salt=*/28);
+    SessionCache cache(1ull << 30);
+    Scheduler scheduler(cache, {/*workers=*/1, /*maxQueue=*/16});
+
+    const auto run = [&](slicer::CriteriaMode mode, uint64_t end) {
+        SliceQuery query;
+        query.mode = mode;
+        query.endIndex = end;
+        return scheduler.submit(program.prefix, query).job->wait();
+    };
+    const QueryResult pixel =
+        run(slicer::CriteriaMode::PixelBuffer, UINT64_MAX);
+    const QueryResult syscalls =
+        run(slicer::CriteriaMode::Syscalls, UINT64_MAX);
+    const QueryResult shorter = run(slicer::CriteriaMode::PixelBuffer, 50);
+    for (const QueryResult *r : {&pixel, &syscalls, &shorter}) {
+        ASSERT_EQ(r->status, QueryResult::Status::Ok) << r->error;
+        EXPECT_FALSE(r->memoHit);
+    }
+    slicer::SlicerOptions options;
+    options.mode = slicer::CriteriaMode::Syscalls;
+    const auto direct = program.directSlice(options);
+    EXPECT_EQ(syscalls.inSliceFnv1a,
+              fnv1a64(direct.inSlice.data(), direct.inSlice.size()));
+
+    const QueryResult repeat =
+        run(slicer::CriteriaMode::PixelBuffer, UINT64_MAX);
+    EXPECT_TRUE(repeat.memoHit);
+    expectSameAnswer(pixel, repeat);
+    scheduler.drain();
+    EXPECT_EQ(cache.stats().memoEntries, 3u);
+    EXPECT_EQ(cache.stats().memoHits, 1u);
 }
 
 // ---- end to end over a real socket ---------------------------------------
@@ -838,17 +1072,21 @@ TEST(Server, ServesABatchOverAUnixSocket)
     EXPECT_EQ(outcome.results[0].inSliceFnv1a,
               fnv1a64(direct.inSlice.data(), direct.inSlice.size()));
 
-    // Same batch again: the session must come from the cache.
+    // Same batch again: the session comes from the cache, and every
+    // answer from the result memo the first batch filled — no slice
+    // runs, so no plan is touched.
     ServiceClient::BatchOutcome warm;
     ASSERT_TRUE(client.batch(program.prefix, queries, warm, error))
         << error;
     EXPECT_EQ(warm.ok, 4u);
-    for (const auto &result : warm.results) {
+    for (size_t i = 0; i < warm.results.size(); ++i) {
+        const auto &result = warm.results[i];
         EXPECT_TRUE(result.cacheHit);
-        EXPECT_TRUE(result.planHit); // both windows' plans are cached
+        EXPECT_TRUE(result.memoHit);
+        EXPECT_FALSE(result.planHit);
+        EXPECT_EQ(result.sliceMs, 0.0);
+        expectSameAnswer(outcome.results[i], result);
     }
-    EXPECT_EQ(warm.results[0].inSliceFnv1a,
-              outcome.results[0].inSliceFnv1a);
     EXPECT_EQ(server.cache().stats().built, 1u);
     // Two windows appeared in the batch (default and endIndex=40), so
     // exactly two plans were transcoded across both batches.
@@ -862,15 +1100,18 @@ TEST(Server, ServesABatchOverAUnixSocket)
     ASSERT_NE(stats.find("cache"), nullptr);
     EXPECT_EQ(stats.find("cache")->find("built")->asInt(), 1);
     EXPECT_EQ(stats.find("cache")->find("plan_builds")->asInt(), 2);
-    EXPECT_GE(stats.find("cache")->find("plan_hits")->asInt(), 4);
+    // Three distinct (window, mode) answers; the warm batch hit all four.
+    EXPECT_EQ(stats.find("cache")->find("memo_entries")->asInt(), 3);
+    EXPECT_GE(stats.find("cache")->find("memo_hits")->asInt(), 4);
     ASSERT_NE(stats.find("scheduler"), nullptr);
     // Slicer counters are global across the process, so only presence
-    // and monotonicity are asserted here.
+    // and monotonicity are asserted here. The cold batch walked a plan
+    // for each of its three distinct answers.
     const Json *slicer_stats = stats.find("slicer");
     ASSERT_NE(slicer_stats, nullptr);
     ASSERT_NE(slicer_stats->find("epoch_boundary_splits"), nullptr);
-    EXPECT_GE(slicer_stats->find("plan_hits")->asInt(), 4);
-    EXPECT_GE(slicer_stats->find("memo_hits")->asInt(), 0);
+    EXPECT_GE(slicer_stats->find("plan_hits")->asInt(), 3);
+    EXPECT_EQ(slicer_stats->find("memo_hits"), nullptr);
 
     // A malformed request answers with an error frame, not a dead
     // daemon; the connection closes, so reconnect for shutdown.

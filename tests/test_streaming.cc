@@ -16,6 +16,7 @@
 #include "sim/machine.hh"
 #include "slicer/slicer.hh"
 #include "trace/trace_file.hh"
+#include "temp_dir.hh"
 
 namespace webslice {
 namespace {
@@ -66,7 +67,7 @@ struct SavedProgram
         });
         machine.run();
 
-        path = std::string(::testing::TempDir()) + "streamed.trc";
+        path = tempPath("streamed.trc");
         trace::saveTrace(path, machine.records());
     }
 

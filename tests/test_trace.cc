@@ -10,20 +10,19 @@
 #include <cstdio>
 #include <string>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "trace/criteria.hh"
 #include "trace/record.hh"
 #include "trace/symtab.hh"
 #include "trace/trace_file.hh"
+#include "temp_dir.hh"
 
 namespace webslice {
 namespace trace {
 namespace {
-
-std::string
-tempPath(const char *stem)
-{
-    return std::string(::testing::TempDir()) + stem;
-}
 
 Record
 makeRecord(size_t i)
@@ -115,6 +114,31 @@ TEST(TraceFile, SaveTraceHelper)
     const auto loaded = loadTrace(path);
     ASSERT_EQ(loaded.size(), 77u);
     EXPECT_EQ(loaded[76].addr, records[76].addr);
+    std::remove(path.c_str());
+}
+
+TEST(TraceFile, RewritingATracePublishesANewInode)
+{
+    // Every write goes to a temp file renamed into place, so a reader
+    // holding the old file keeps the old bytes, and a stat() that still
+    // matches a hashed .trc means the same bytes (the service's session
+    // cache relies on it).
+    const std::string path = tempPath("republish.trc");
+    saveTrace(path, {makeRecord(0)});
+    const int pinned = ::open(path.c_str(), O_RDONLY);
+    ASSERT_GE(pinned, 0);
+    struct stat before;
+    ASSERT_EQ(::fstat(pinned, &before), 0);
+
+    saveTrace(path, {makeRecord(0), makeRecord(1)});
+    struct stat after;
+    ASSERT_EQ(::stat(path.c_str(), &after), 0);
+    EXPECT_NE(before.st_ino, after.st_ino);
+    struct stat old_file;
+    ASSERT_EQ(::fstat(pinned, &old_file), 0);
+    EXPECT_EQ(old_file.st_size, before.st_size); // untouched
+    EXPECT_EQ(loadTrace(path).size(), 2u);
+    ::close(pinned);
     std::remove(path.c_str());
 }
 

@@ -18,6 +18,7 @@
 #include "support/rng.hh"
 #include "support/sparse_byte_set.hh"
 #include "trace/trace_file.hh"
+#include "temp_dir.hh"
 
 namespace webslice {
 namespace {
@@ -175,7 +176,7 @@ TEST_P(ReaderSweep, YieldsEveryRecordInOrder)
 {
     const auto [direction, shape, count] = GetParam();
     const std::string path =
-        std::string(::testing::TempDir()) + "reader_sweep_" +
+        tempPath("reader_sweep_") +
         std::to_string(static_cast<int>(direction)) + "_" +
         std::to_string(static_cast<int>(shape)) + "_" +
         std::to_string(count) + ".trc";

@@ -27,6 +27,7 @@
 #include "trace/columnar.hh"
 #include "trace/criteria.hh"
 #include "trace/trace_file.hh"
+#include "temp_dir.hh"
 
 namespace webslice {
 namespace trace {
@@ -36,12 +37,6 @@ using sim::Ctx;
 using sim::Machine;
 using sim::TracedScope;
 using sim::Value;
-
-std::string
-tempPath(const char *stem)
-{
-    return std::string(::testing::TempDir()) + stem;
-}
 
 /**
  * A record stream exercising every column: monotone and jumpy deltas,
@@ -213,8 +208,7 @@ TEST(TraceV2, AtomicWriterPublishesOnCloseOnly)
     const std::string path = tempPath("v2_atomic.trc");
     std::remove(path.c_str());
     {
-        TraceWriter writer(path, /*block_index=*/false, TraceFormat::V2,
-                           /*atomic=*/true);
+        TraceWriter writer(path, /*block_index=*/false, TraceFormat::V2);
         for (size_t i = 0; i < 100; ++i)
             writer.append(makeRecord(i));
         // Not yet renamed into place: the final name must not exist.
@@ -234,8 +228,7 @@ TEST(TraceV1, AtomicWriterWorksToo)
     const std::string path = tempPath("v1_atomic.trc");
     std::remove(path.c_str());
     {
-        TraceWriter writer(path, /*block_index=*/true, TraceFormat::V1,
-                           /*atomic=*/true);
+        TraceWriter writer(path, /*block_index=*/true, TraceFormat::V1);
         for (size_t i = 0; i < 100; ++i)
             writer.append(makeRecord(i));
         std::ifstream probe(path, std::ios::binary);

@@ -126,10 +126,9 @@ main(int argc, char **argv)
     {
         // The v1 output carries the WEBTIDX1 per-block counts, as
         // webslice-record writes it; the v2 index is structural.
-        // Atomic: a crashed conversion leaves no partial .trc under the
-        // output prefix.
-        trace::TraceWriter writer(out_trace, /*block_index=*/true, to,
-                                  /*atomic=*/true);
+        // TraceWriter publishes atomically: a crashed conversion leaves
+        // no partial .trc under the output prefix.
+        trace::TraceWriter writer(out_trace, /*block_index=*/true, to);
         for (const auto &rec : records)
             writer.append(rec);
         writer.close();
