@@ -17,15 +17,13 @@
  *
  *  - session build: the one-time forward pass a fresh daemon pays for
  *    a recording, reported separately from any per-criterion cost;
- *  - per-criterion latency, cold vs warm: a daemon started with
- *    --no-plan-cache answers each criterion (mode x backward-jobs) on
- *    its own window, so every cold query walks the trace and
- *    categorizes the slice; a default daemon, warmed with one query
- *    per mode, answers the same criteria over the shared window from
- *    its result memo. The ratio of the median run_ms is
- *    `warm_backward_speedup` (a memo answer runs no slice, so it has
- *    no slice_ms to compare). A third sample times the plan walk a
- *    warm query pays when its (window, mode) is new;
+ *  - per-criterion latency, cold vs warm: one daemon answers each
+ *    criterion (mode x backward-jobs) on its own window, so every cold
+ *    query walks the trace and categorizes the slice; a second daemon,
+ *    warmed with one query per mode, answers the same criteria over
+ *    the shared window from its result memo. The ratio of the median
+ *    run_ms is `warm_backward_speedup` (a memo answer runs no slice, so
+ *    it has no slice_ms to compare);
  *  - warm throughput: single-query batches at 1, 4, and 8 concurrent
  *    client connections — queries/sec plus p50/p99 round trip latency.
  *
@@ -132,8 +130,6 @@ criterionSet(size_t count)
 struct CriterionSample
 {
     std::vector<double> runMs;   ///< Whole run on the worker.
-    std::vector<double> sliceMs; ///< Backward pass only (0 on a memo hit).
-    size_t planHits = 0;
     size_t memoHits = 0;
 
     double median() const { return percentile(runMs, 50.0); }
@@ -166,8 +162,6 @@ runCriteria(const std::string &socket_path, const std::string &prefix,
         }
         const service::QueryResult &result = outcome.results[0];
         sample.runMs.push_back(result.runMs);
-        sample.sliceMs.push_back(result.sliceMs);
-        sample.planHits += result.planHit ? 1 : 0;
         sample.memoHits += result.memoHit ? 1 : 0;
     }
     return sample;
@@ -472,20 +466,18 @@ main(int argc, char **argv)
                 sc.name.c_str(),
                 withCommas(records).c_str(), queries);
 
-    // ---- phase 1: plans disabled — session build + cold criteria -----------
+    // ---- phase 1: session build + cold criteria --------------------------
     // One throwaway query builds the session so the criterion loop below
     // measures the queries alone. Each cold criterion asks its own
     // window, one record shorter than the last, so the result memo
-    // never answers: every query walks the trace plan-less and
-    // categorizes its slice. This is what a query costs with neither
-    // plans nor memo.
+    // never answers: every query walks the trace and categorizes its
+    // slice.
     double session_build_ms = 0.0;
     CriterionSample cold;
     {
         service::ServerOptions options;
         options.socketPath = cold_socket;
         options.workers = 2;
-        options.usePlans = false;
         service::Server server(options);
         std::thread serving([&] { server.run(); });
 
@@ -515,19 +507,19 @@ main(int argc, char **argv)
     }
     std::printf("  session build (forward pass, once): %8.1f ms\n",
                 session_build_ms);
-    std::printf("  cold criterion (no plan, no memo): run p50 %8.2f ms  "
+    std::printf("  cold criterion (no memo): run p50 %8.2f ms  "
                 "p99 %8.2f ms\n",
                 cold.median(), cold.p99());
 
-    // ---- phase 2: plans enabled — warm criteria + throughput ---------------
+    // ---- phase 2: warm criteria + throughput ------------------------------
     service::ServerOptions options;
     options.socketPath = socket_path;
     options.workers = 8;
     service::Server server(options);
     std::thread serving([&] { server.run(); });
 
-    // Warm-up: builds this daemon's session, the shared epoch plan, and
-    // one memoized answer per mode, so the mixed sample below measures
+    // Warm-up: builds this daemon's session and one memoized answer per
+    // mode, so the mixed sample below measures
     // what a saturated daemon serves — repeats of already-seen criteria.
     {
         service::ServiceClient client;
@@ -541,7 +533,7 @@ main(int argc, char **argv)
             service::ServiceClient::BatchOutcome outcome;
             if (!client.batch(prefix, {criteria[i]}, outcome, error) ||
                 outcome.ok != 1) {
-                std::fprintf(stderr, "plan warm-up failed: %s\n",
+                std::fprintf(stderr, "warm-up failed: %s\n",
                              error.c_str());
                 return 1;
             }
@@ -549,47 +541,12 @@ main(int argc, char **argv)
     }
     const CriterionSample warm = runCriteria(socket_path, prefix, criteria);
 
-    // The full epoch replay a warm query pays when its (window, mode)
-    // is new: prime a fresh window's plan with a pixel query, then time
-    // a syscalls query — a plan hit the result memo cannot answer.
-    CriterionSample plan_walk;
-    {
-        service::ServiceClient client;
-        std::string error;
-        if (!client.connectUnix(socket_path, error)) {
-            std::fprintf(stderr, "connect: %s\n", error.c_str());
-            return 1;
-        }
-        for (size_t k = 1; k <= 3; ++k) {
-            service::SliceQuery prime;
-            prime.endIndex = records / 2 - k;
-            service::SliceQuery probe = prime;
-            probe.mode = slicer::CriteriaMode::Syscalls;
-            service::ServiceClient::BatchOutcome outcome;
-            if (!client.batch(prefix, {prime}, outcome, error) ||
-                outcome.ok != 1 ||
-                !client.batch(prefix, {probe}, outcome, error) ||
-                outcome.ok != 1) {
-                std::fprintf(stderr, "plan-walk sample failed: %s\n",
-                             error.c_str());
-                return 1;
-            }
-            plan_walk.runMs.push_back(outcome.results[0].runMs);
-            plan_walk.sliceMs.push_back(outcome.results[0].sliceMs);
-            plan_walk.planHits += outcome.results[0].planHit ? 1 : 0;
-        }
-    }
-
     const double speedup =
         warm.median() > 0.0 ? cold.median() / warm.median() : 0.0;
-    std::printf("  warm criterion (repeat, result memo):      "
+    std::printf("  warm criterion (repeat, result memo): "
                 "run p50 %8.2f ms  p99 %8.2f ms  (%zu/%zu memo hits)\n",
                 warm.median(), warm.p99(), warm.memoHits,
                 warm.runMs.size());
-    std::printf("  warm criterion (new to plan, full replay): "
-                "slice p50 %8.2f ms  (half window, %zu/%zu plan hits)\n",
-                percentile(plan_walk.sliceMs, 50.0), plan_walk.planHits,
-                plan_walk.sliceMs.size());
     std::printf("  warm_backward_speedup: %.2fx\n\n", speedup);
 
     // ---- warm throughput at increasing client counts -----------------------
@@ -608,13 +565,10 @@ main(int argc, char **argv)
     }
 
     const auto cache = server.cache().stats();
-    std::printf("\nsessions built %llu, cache hits %llu, misses %llu; "
-                "plans built %llu, plan hits %llu\n",
+    std::printf("\nsessions built %llu, cache hits %llu, misses %llu\n",
                 static_cast<unsigned long long>(cache.built),
                 static_cast<unsigned long long>(cache.hits),
-                static_cast<unsigned long long>(cache.misses),
-                static_cast<unsigned long long>(cache.planBuilds),
-                static_cast<unsigned long long>(cache.planHits));
+                static_cast<unsigned long long>(cache.misses));
 
     server.requestShutdown();
     serving.join();
@@ -663,14 +617,9 @@ main(int argc, char **argv)
           << "    \"warm_criterion_p99_ms\": "
           << format("%.3f", warm.p99()) << ",\n"
           << "    \"warm_memo_hits\": " << warm.memoHits << ",\n"
-          << "    \"warm_plan_walk_half_window_p50_ms\": "
-          << format("%.3f", percentile(plan_walk.sliceMs, 50.0)) << ",\n"
-          << "    \"plan_walk_plan_hits\": " << plan_walk.planHits
-          << ",\n"
           << "    \"warm_backward_speedup\": "
           << format("%.3f", speedup) << ",\n"
           << "    \"sessions_built\": " << cache.built << ",\n"
-          << "    \"plans_built\": " << cache.planBuilds << ",\n"
           << "    \"warm\": [";
     for (size_t i = 0; i < samples.size(); ++i) {
         const auto &s = samples[i];

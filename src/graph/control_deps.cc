@@ -17,10 +17,10 @@ using trace::Pc;
 std::span<const Pc>
 ControlDepMap::depsOf(FuncId func, Pc pc) const
 {
-    if (!sealed_)
-        seal();
-    // peek(), not find(): a sealed map is read by many threads at once
-    // (the plan transcode), so a lookup must write nothing.
+    panic_if(!sealed_, "control-dependence map queried after add() "
+                       "without a seal()");
+    // peek(), not find(): find() counts its probes, and a sealed map is
+    // read by many threads at once, so a lookup must write nothing.
     const uint64_t *entry = index_.peek(key(func, pc));
     if (!entry)
         return {};
@@ -29,7 +29,7 @@ ControlDepMap::depsOf(FuncId func, Pc pc) const
 }
 
 void
-ControlDepMap::seal() const
+ControlDepMap::seal()
 {
     index_.clear();
     index_.reserve(deps_.size());
@@ -43,27 +43,6 @@ ControlDepMap::seal() const
             (offset << 20) | kv.second.size();
     }
     sealed_ = true;
-}
-
-void
-ControlDepMap::ensureSealed() const
-{
-    if (!sealed_)
-        seal();
-}
-
-std::vector<Pc>
-ControlDepMap::branchUniverse() const
-{
-    std::vector<Pc> universe;
-    universe.reserve(deps_.size());
-    for (const auto &kv : deps_)
-        universe.insert(universe.end(), kv.second.begin(),
-                        kv.second.end());
-    std::sort(universe.begin(), universe.end());
-    universe.erase(std::unique(universe.begin(), universe.end()),
-                   universe.end());
-    return universe;
 }
 
 void
@@ -142,7 +121,6 @@ ControlDepMap::load(const std::string &path)
     }
 
     deps_.clear();
-    sealed_ = false;
     while (std::getline(in, line)) {
         ++lineno;
         std::istringstream fields(line);
@@ -166,6 +144,7 @@ ControlDepMap::load(const std::string &path)
     }
     fatal_if(!in.eof(), "read error in control-dependence map ", path,
              " after line ", lineno);
+    seal();
 }
 
 namespace {
@@ -226,6 +205,7 @@ buildControlDeps(const CfgSet &cfgs, int jobs)
                 out.add(cfg.func, pc, branch_pc);
             });
         }
+        out.seal();
         return out;
     }
 
@@ -258,6 +238,7 @@ buildControlDeps(const CfgSet &cfgs, int jobs)
         for (const auto &[pc, branch_pc] : results[i])
             out.add(func, pc, branch_pc);
     }
+    out.seal();
     return out;
 }
 

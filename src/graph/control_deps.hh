@@ -35,13 +35,13 @@ namespace graph {
 /**
  * (function, pc) -> controlling branch pcs within that function.
  *
- * Queries go through a flat-hash index over a pooled pc array, built
- * lazily on the first depsOf() after a mutation. The backward pass
- * probes this map for every in-slice record — and most probes miss —
- * so the index is a single open-addressing lookup, not a node-based
- * unordered_map walk. Lazy sealing means the first depsOf() after an
- * add()/load() is not safe to race with other depsOf() calls; the
- * profiler's backward pass is single-threaded, which satisfies that.
+ * Queries go through a flat-hash index over a pooled pc array. The
+ * backward pass probes this map for every in-slice record — and most
+ * probes miss — so the index is a single open-addressing lookup, not a
+ * node-based unordered_map walk. buildControlDeps() and load() return
+ * the map sealed, with its index built, so depsOf() only reads and any
+ * number of threads may call it at once. add() unseals the map until
+ * the next seal(); a depsOf() in between panics.
  */
 class ControlDepMap
 {
@@ -50,26 +50,11 @@ class ControlDepMap
     std::span<const trace::Pc> depsOf(trace::FuncId func,
                                       trace::Pc pc) const;
 
-    /**
-     * Force the lazy query index to be built now. depsOf() seals on
-     * first use, which is not safe to race from several threads; any
-     * caller that will query the map from worker threads (buildEpochPlan's
-     * parallel transcode) must call this once beforehand from a single
-     * thread.
-     */
-    void ensureSealed() const;
-
-    /**
-     * Sorted, deduplicated branch pcs that appear in at least one
-     * dependence list. A Branch record whose pc is not in this set can
-     * never satisfy a pending-branch entry — pending sets only ever
-     * receive pcs from these lists — which is what lets the epoch-plan
-     * transcoder drop such branches as state no-ops.
-     */
-    std::vector<trace::Pc> branchUniverse() const;
-
     /** Add one dependence (deduplicated). */
     void add(trace::FuncId func, trace::Pc pc, trace::Pc branch_pc);
+
+    /** Rebuild the query index from every pair added so far. */
+    void seal();
 
     /** Total number of (instruction, branch) dependence pairs. */
     size_t pairCount() const;
@@ -88,7 +73,8 @@ class ControlDepMap
     /** Persist to a text file so backward passes can reuse it. */
     void save(const std::string &path) const;
 
-    /** Load a map previously written by save(); replaces contents. */
+    /** Load a map previously written by save(); replaces contents and
+     *  seals. */
     void load(const std::string &path);
 
   private:
@@ -98,15 +84,13 @@ class ControlDepMap
         return (static_cast<uint64_t>(func) << 32) | pc;
     }
 
-    /** Rebuild the flat query index from deps_. */
-    void seal() const;
-
     std::unordered_map<uint64_t, std::vector<trace::Pc>> deps_;
 
-    // Query-side index: key -> (offset << 20 | length) into pool_.
-    mutable bool sealed_ = false;
-    mutable FlatMap64 index_;
-    mutable std::vector<trace::Pc> pool_;
+    // Query-side index: key -> (offset << 20 | length) into pool_. An
+    // empty map is sealed.
+    bool sealed_ = true;
+    FlatMap64 index_;
+    std::vector<trace::Pc> pool_;
 };
 
 /**
@@ -116,7 +100,7 @@ class ControlDepMap
  * CFGs), so with jobs > 1 the per-function work runs on a thread pool
  * and the per-function results are merged in a deterministic order; the
  * map contents are identical to the serial computation. jobs <= 0 means
- * "all hardware threads".
+ * "all hardware threads". The map comes back sealed.
  */
 ControlDepMap buildControlDeps(const CfgSet &cfgs, int jobs = 1);
 

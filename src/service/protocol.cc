@@ -251,7 +251,6 @@ QueryResult::toJson(size_t id) const
     }
     j.set("cache_hit", Json::boolean(cacheHit));
     j.set("memo_hit", Json::boolean(memoHit));
-    j.set("plan_hit", Json::boolean(planHit));
     j.set("deduped", Json::boolean(deduped));
     j.set("queue_ms", Json::number(queueMs));
     j.set("run_ms", Json::number(runMs));
@@ -320,8 +319,6 @@ QueryResult::fromJson(const Json &json, QueryResult &out,
         out.cacheHit = v->asBool();
     if (const Json *v = json.find("memo_hit"))
         out.memoHit = v->asBool();
-    if (const Json *v = json.find("plan_hit"))
-        out.planHit = v->asBool();
     if (const Json *v = json.find("deduped"))
         out.deduped = v->asBool();
     if (const Json *v = json.find("queue_ms"))

@@ -134,10 +134,10 @@ struct QueryResult
 
     // Scheduling telemetry.
     bool cacheHit = false; ///< Session served from the cache.
-    /** Answered from the result memo: no slice ran, so planHit is
-     *  false and sliceMs is 0. */
+    /** Answered from the result memo: no slice ran, so sliceMs is 0. */
     bool memoHit = false;
-    bool planHit = false;  ///< Reused a cached epoch plan (warm query).
+    /** Never set; kept because perfbench/src/serve_mixed.cc reads it. */
+    bool planHit = false;
     bool deduped = false;  ///< Attached to an identical in-flight query.
     double queueMs = 0.0;
     double runMs = 0.0;

@@ -40,8 +40,7 @@ Job::done() const
 Scheduler::Scheduler(SessionCache &cache, const Options &options)
     : cache_(cache),
       pool_(static_cast<unsigned>(std::max(1, options.workers))),
-      maxQueue_(std::max<size_t>(1, options.maxQueue)),
-      usePlans_(options.usePlans)
+      maxQueue_(std::max<size_t>(1, options.maxQueue))
 {
 }
 
@@ -179,8 +178,8 @@ Scheduler::runJob(const std::shared_ptr<Job> &job)
         const auto session = cache_.acquire(job->prefix_, &cache_hit);
         result.cacheHit = cache_hit;
 
-        // A repeat is answered from the session-level memo: no plan,
-        // no record scan, no digest, no categorize pass.
+        // A repeat is answered from the session-level memo: no record
+        // scan, no digest, no categorize pass.
         const SliceQuery &query = job->query_;
         const size_t window_end =
             session->windowEnd(query.noWindow, query.endIndex);
@@ -222,17 +221,6 @@ Scheduler::computeAnswer(const std::shared_ptr<const Session> &session,
     options.mode = query.mode;
     options.backwardJobs = query.backwardJobs;
     options.endIndex = window_end;
-
-    // Route through the cached criterion-independent transcode: the
-    // first query over this (recording, window) builds the plan
-    // (singleflight), later ones skip the transcode pass. The
-    // shared_ptr keeps the plan (and the session it points into)
-    // alive for the duration of the slice.
-    std::shared_ptr<const slicer::EpochPlan> plan;
-    if (usePlans_) {
-        plan = cache_.acquirePlan(session, window_end, &result.planHit);
-        options.reusePlan = plan.get();
-    }
 
     const auto records = session->trace->records();
     const auto slice_start = std::chrono::steady_clock::now();

@@ -4,7 +4,9 @@
  *
  * Each slicing criterion of a batch becomes one Job run on the shared
  * ThreadPool, so a batch of N criteria against one session executes
- * its backward passes concurrently. Robustness is part of the
+ * its backward passes concurrently. A query the session cache's
+ * result memo cannot answer runs the sequential backward walk
+ * (slicer.hh) over the cached session. Robustness is part of the
  * contract:
  *
  *  - bounded queue: submissions beyond the configured depth are
@@ -79,17 +81,6 @@ class Scheduler
 
         /** Queued + running ceiling before submissions are rejected. */
         size_t maxQueue = 64;
-
-        /**
-         * Route memo misses through cached EpochPlans: the first query
-         * over a (recording, window) pays one transcode, every later
-         * one skips that pass entirely (plus any epochs its live set
-         * provably never reaches). Results are bit-identical either
-         * way; off is the plan-less baseline for benchmarks. Repeats
-         * are answered from the session cache's result memo in both
-         * settings.
-         */
-        bool usePlans = true;
     };
 
     Scheduler(SessionCache &cache, const Options &options);
@@ -151,8 +142,7 @@ class Scheduler
   private:
     void runJob(const std::shared_ptr<Job> &job);
 
-    /** Slice and categorize a memo miss; sets result's planHit and
-     *  sliceMs. */
+    /** Slice and categorize a memo miss; sets result's sliceMs. */
     std::shared_ptr<const SliceAnswer>
     computeAnswer(const std::shared_ptr<const Session> &session,
                   const SliceQuery &query, size_t window_end,
@@ -164,7 +154,6 @@ class Scheduler
     ThreadPool pool_;
     TaskGroup group_;
     const size_t maxQueue_;
-    const bool usePlans_;
 
     mutable std::mutex mutex_;
     size_t inQueue_ = 0; ///< Jobs submitted but not yet finished.

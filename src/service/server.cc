@@ -76,8 +76,7 @@ Server::Server(const ServerOptions &options)
     : options_(options),
       cache_(options.cacheBytes, options.forwardJobs),
       scheduler_(cache_, Scheduler::Options{options.workers,
-                                            options.maxQueue,
-                                            options.usePlans})
+                                            options.maxQueue})
 {
     fatal_if(options_.socketPath.empty(),
              "the server requires a unix socket path");
@@ -261,47 +260,18 @@ Server::statsResponse() const
                    Json::integer(static_cast<int64_t>(cache.built)));
     cache_json.set("open_waits",
                    Json::integer(static_cast<int64_t>(cache.openWaits)));
-    cache_json.set("plan_entries",
-                   Json::integer(static_cast<int64_t>(cache.planEntries)));
-    cache_json.set("plan_bytes",
-                   Json::integer(static_cast<int64_t>(cache.planBytes)));
-    cache_json.set("plan_hits",
-                   Json::integer(static_cast<int64_t>(cache.planHits)));
-    cache_json.set("plan_misses",
-                   Json::integer(static_cast<int64_t>(cache.planMisses)));
-    cache_json.set("plan_builds",
-                   Json::integer(static_cast<int64_t>(cache.planBuilds)));
-    cache_json.set("plan_evictions",
-                   Json::integer(
-                       static_cast<int64_t>(cache.planEvictions)));
-    cache_json.set("plan_waits",
-                   Json::integer(static_cast<int64_t>(cache.planWaits)));
+    // Always 0; perfbench/metrics.py reads it.
+    cache_json.set("plan_evictions", Json::integer(0));
     cache_json.set("memo_hits",
                    Json::integer(static_cast<int64_t>(cache.memoHits)));
     cache_json.set("memo_entries",
                    Json::integer(static_cast<int64_t>(cache.memoEntries)));
     j.set("cache", std::move(cache_json));
 
-    // Slicer-layer counters clients key decisions on, with stable
-    // zeros even before the first query touches them — the raw
-    // counters section below only lists names that already exist.
-    Json slicer_json = Json::object();
-    for (const char *name :
-         {"slicer.plan_hits", "slicer.plan_misses", "slicer.plan_builds",
-          "slicer.epochs_planned", "slicer.epochs_skipped",
-          "slicer.epoch_elided_records",
-          "criteria.epoch_boundary_splits"}) {
-        const char *dot = std::strchr(name, '.');
-        slicer_json.set(dot + 1,
-                        Json::integer(static_cast<int64_t>(
-                            MetricRegistry::global().counter(name)
-                                .value())));
-    }
-    j.set("slicer", std::move(slicer_json));
-
     // Trace-layer I/O counters: on-disk footprint touched, columnar
-    // blocks decoded, and the decode cache. Same stable-zeros contract
-    // as the slicer section.
+    // blocks decoded, and the decode cache, with stable zeros even
+    // before the first query touches them — the raw counters section
+    // below only lists names that already exist.
     Json trace_json = Json::object();
     for (const char *name :
          {"trace.bytes_on_disk", "trace.bytes_decoded",

@@ -48,11 +48,6 @@ struct ServerOptions
     /** Forward-pass threads when a session is built (0 = all cores). */
     int forwardJobs = 0;
 
-    /** Cache criterion-independent epoch plans and route warm queries
-     *  through them (see Scheduler::Options::usePlans). Disabling is
-     *  the cold-path baseline benchmarks compare against. */
-    bool usePlans = true;
-
     /** Fleet identity stamped on every result and status frame; empty
      *  outside fleet deployments (the fields are then omitted). */
     std::string shardId;

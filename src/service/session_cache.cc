@@ -7,10 +7,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/strings.hh"
@@ -74,20 +70,6 @@ sameFile(const struct stat &a, const struct stat &b)
            a.st_mtim.tv_nsec == b.st_mtim.tv_nsec &&
            a.st_ctim.tv_sec == b.st_ctim.tv_sec &&
            a.st_ctim.tv_nsec == b.st_ctim.tv_nsec;
-}
-
-/**
- * Hand the allocator's free pages back to the system. An evicted plan
- * frees tens of MB interleaved with live allocations; without this a
- * daemon that keeps building and evicting plans (one per new window)
- * grows well past its byte budget in fragments.
- */
-void
-releaseFreedMemory()
-{
-#if defined(__GLIBC__)
-    ::malloc_trim(0);
-#endif
 }
 
 /** Memo key: identity, window end, and criteria mode. */
@@ -200,9 +182,6 @@ SessionCache::buildSession(const std::string &prefix,
                                      session->sidecars.symtab,
                                      forwardJobs_);
     session->deps = graph::buildControlDeps(session->cfgs, forwardJobs_);
-    // Seal now: concurrent queries will probe depsOf() from worker
-    // threads, and the lazy first-use seal is not race-safe.
-    session->deps.ensureSealed();
     session->approxBytes = estimateSessionBytes(*session);
     return session;
 }
@@ -250,8 +229,8 @@ SessionCache::acquire(const std::string &prefix, bool *was_hit)
             return it->second.session;
         }
         // The files changed under the prefix: the entry describes a
-        // recording that no longer exists on disk, and so do any plans
-        // transcoded from it and any answers computed from it.
+        // recording that no longer exists on disk, and so do any
+        // answers computed from it.
         ++counters_.invalidations;
         cacheCounter("service.cache_invalidations").add();
         dropDerivedLocked(it->second.session->identity);
@@ -343,113 +322,12 @@ SessionCache::touchLocked(const std::string &prefix, Entry &entry)
 }
 
 std::shared_ptr<const slicer::EpochPlan>
-SessionCache::acquirePlan(const std::shared_ptr<const Session> &session,
-                          size_t window_end, bool *was_hit)
+SessionCache::acquirePlan(const std::shared_ptr<const Session> &,
+                          size_t, bool *was_hit)
 {
     if (was_hit)
         *was_hit = false;
-    const std::string key =
-        format("%016llx|%llu",
-               static_cast<unsigned long long>(session->identity),
-               static_cast<unsigned long long>(window_end));
-
-    std::unique_lock<std::mutex> lock(mutex_);
-    auto it = planEntries_.find(key);
-    if (it != planEntries_.end()) {
-        ++counters_.planHits;
-        cacheCounter("service.plan_hits").add();
-        planLru_.erase(it->second.lruIt);
-        planLru_.push_front(key);
-        it->second.lruIt = planLru_.begin();
-        if (was_hit)
-            *was_hit = true;
-        return it->second.plan;
-    }
-    ++counters_.planMisses;
-    cacheCounter("service.plan_misses").add();
-
-    auto inflight = planBuilding_.find(key);
-    if (inflight != planBuilding_.end()) {
-        // Another query over the same window is already transcoding;
-        // join that build instead of running a duplicate.
-        ++counters_.planWaits;
-        cacheCounter("service.plan_waits").add();
-        auto build = inflight->second;
-        buildDone_.wait(lock, [&] { return build->done; });
-        if (build->error)
-            std::rethrow_exception(build->error);
-        if (was_hit)
-            *was_hit = build->plan != nullptr;
-        return build->plan;
-    }
-
-    auto build = std::make_shared<PlanBuilding>();
-    planBuilding_.emplace(key, build);
-    lock.unlock();
-
-    std::shared_ptr<const slicer::EpochPlan> plan;
-    try {
-        ScopedFatalCapture capture;
-        slicer::SlicerOptions options;
-        options.endIndex = window_end;
-        plan = slicer::buildEpochPlan(session->trace->records(),
-                                      session->cfgs, session->deps,
-                                      options);
-    } catch (...) {
-        std::lock_guard<std::mutex> relock(mutex_);
-        planBuilding_.erase(key);
-        build->error = std::current_exception();
-        build->done = true;
-        buildDone_.notify_all();
-        throw;
-    }
-
-    lock.lock();
-    planBuilding_.erase(key);
-    build->plan = plan;
-    build->done = true;
-    buildDone_.notify_all();
-    if (plan) {
-        ++counters_.planBuilds;
-        cacheCounter("service.plan_builds").add();
-        PlanEntry entry;
-        entry.plan = plan;
-        entry.session = session;
-        entry.identity = session->identity;
-        entry.bytes = plan->approxBytes();
-        const uint64_t evicted = counters_.planEvictions;
-        insertPlanLocked(key, std::move(entry));
-        if (counters_.planEvictions != evicted) {
-            lock.unlock();
-            releaseFreedMemory();
-        }
-    }
-    return plan;
-}
-
-void
-SessionCache::insertPlanLocked(const std::string &key, PlanEntry entry)
-{
-    removePlanLocked(key); // racing builds of the same key: last wins
-    planLru_.push_front(key);
-    entry.lruIt = planLru_.begin();
-    bytes_ += entry.bytes;
-    planBytes_ += entry.bytes;
-    planEntries_[key] = std::move(entry);
-    evictLocked();
-    publishGaugesLocked();
-}
-
-void
-SessionCache::removePlanLocked(const std::string &key)
-{
-    auto it = planEntries_.find(key);
-    if (it == planEntries_.end())
-        return;
-    bytes_ -= it->second.bytes;
-    planBytes_ -= it->second.bytes;
-    planLru_.erase(it->second.lruIt);
-    planEntries_.erase(it);
+    return nullptr;
 }
 
 std::shared_ptr<const SliceAnswer>
@@ -503,15 +381,9 @@ SessionCache::removeMemoLocked(const std::string &key)
 void
 SessionCache::evictLocked()
 {
-    // Cheapest rebuild first: a plan is one transcode, an answer one
-    // slice, a session a whole forward pass. The newest entry of each
-    // kind stays, since a cache that cannot hold what it is serving
-    // would thrash forever.
-    while (bytes_ > budget_ && planLru_.size() > 1) {
-        ++counters_.planEvictions;
-        cacheCounter("service.plan_evictions").add();
-        removePlanLocked(planLru_.back());
-    }
+    // Cheapest rebuild first: an answer is one slice, a session a
+    // whole forward pass. The newest entry of each kind stays, since a
+    // cache that cannot hold what it is serving would thrash forever.
     while (bytes_ > budget_ && memoLru_.size() > 1) {
         ++counters_.memoEvictions;
         cacheCounter("service.memo_evictions").add();
@@ -527,12 +399,6 @@ SessionCache::evictLocked()
 void
 SessionCache::dropDerivedLocked(uint64_t identity)
 {
-    std::vector<std::string> plans;
-    for (const auto &kv : planEntries_)
-        if (kv.second.identity == identity)
-            plans.push_back(kv.first);
-    for (const auto &key : plans)
-        removePlanLocked(key);
     std::vector<std::string> answers;
     for (const auto &kv : memoEntries_)
         if (kv.second.identity == identity)
@@ -548,8 +414,6 @@ SessionCache::publishGaugesLocked()
     auto &registry = MetricRegistry::global();
     registry.gauge("service.cache_bytes").set(bytes_);
     registry.gauge("service.cache_entries").set(entries_.size());
-    registry.gauge("service.plan_bytes").set(planBytes_);
-    registry.gauge("service.plan_entries").set(planEntries_.size());
     registry.gauge("service.memo_entries").set(memoEntries_.size());
 }
 
@@ -561,8 +425,6 @@ SessionCache::stats() const
     out.entries = entries_.size();
     out.bytes = bytes_;
     out.byteBudget = budget_;
-    out.planEntries = planEntries_.size();
-    out.planBytes = planBytes_;
     out.memoEntries = memoEntries_.size();
     return out;
 }
@@ -573,12 +435,9 @@ SessionCache::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
     lru_.clear();
-    planEntries_.clear();
-    planLru_.clear();
     memoEntries_.clear();
     memoLru_.clear();
     bytes_ = 0;
-    planBytes_ = 0;
     publishGaugesLocked();
 }
 

@@ -13,7 +13,7 @@
  * Identity. A session is keyed by the fold of its artifact digests
  * (FNV-1a-64 of the .trc/.sym/.crit/.meta bytes): a prefix whose files
  * changed on disk is a different recording and invalidates its stale
- * entry, together with its plans and memoized answers. The digests are
+ * entry, together with its memoized answers. The digests are
  * computed once, when the session is built; the .trc is read through a
  * descriptor the entry keeps open, so its inode cannot be recycled,
  * and the descriptor's fstat() is kept with it. Each later acquire
@@ -27,16 +27,15 @@
  * Results. The cache also keeps the result memo: the finished answer
  * (counts, digest, category shares — never the verdict vector) of each
  * query, keyed by (identity, window end, criteria mode). A repeated
- * query is answered from it without a plan, a record scan, or a
- * categorize pass. Epoch plans (slicer/epoch.hh) are cached here too,
- * per (identity, window), and hold no results of their own.
+ * query is answered from it without a record scan or a categorize
+ * pass; every other query runs the sequential backward walk over the
+ * session.
  *
- * Sessions, plans, and answers share one byte budget. Over it, cold
- * plans are evicted first, then cold answers, then cold sessions;
- * everything handed out as shared_ptr stays alive for its holders
- * even after eviction. Concurrent opens of the same recording collapse
- * onto one forward pass — later callers wait for the builder instead
- * of duplicating it — and so do concurrent builds of one plan.
+ * Sessions and answers share one byte budget. Over it, cold answers
+ * are evicted first, then cold sessions; everything handed out as
+ * shared_ptr stays alive for its holders even after eviction.
+ * Concurrent opens of the same recording collapse onto one forward
+ * pass — later callers wait for the builder instead of duplicating it.
  */
 
 #ifndef WEBSLICE_SERVICE_SESSION_CACHE_HH
@@ -54,7 +53,6 @@
 
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
-#include "slicer/epoch.hh"
 #include "slicer/slicer.hh"
 #include "trace/artifacts.hh"
 #include "trace/trace_file.hh"
@@ -76,7 +74,7 @@ struct Session
     trace::ArtifactSidecars sidecars;
     std::unique_ptr<trace::MappedTrace> trace;
     graph::CfgSet cfgs;
-    graph::ControlDepMap deps; ///< Sealed at build time (thread-safe reads).
+    graph::ControlDepMap deps; ///< Sealed, so workers read it lock-free.
 
     /** Budget accounting: artifact bytes plus graph-structure estimates. */
     uint64_t approxBytes = 0;
@@ -137,23 +135,8 @@ class SessionCache
     std::shared_ptr<const Session> acquire(const std::string &prefix,
                                            bool *was_hit = nullptr);
 
-    /**
-     * Get the criterion-independent EpochPlan for `session` over the
-     * window [0, window_end), building (and caching) it on first use.
-     * Plans are keyed by (artifact identity, window) under the default
-     * dependence knobs, pin the session they were transcoded from (the
-     * plan's dependence spans point into that session's sealed map),
-     * and share the byte budget with sessions — over budget, cold plans
-     * are evicted before cold sessions, since a plan rebuild is one
-     * transcode while a session rebuild is a full forward pass.
-     * Concurrent first queries collapse onto one build (singleflight).
-     *
-     * Returns null when the trace shape does not support plans (the
-     * caller runs plan-less); null results are not cached.
-     *
-     * @param was_hit set to true when an already-built plan was reused
-     *                (cache hit or joined an in-flight build).
-     */
+    /** Returns null and sets *was_hit to false: no plan is ever built.
+     *  Kept because perfbench/src/serve_mixed.cc calls it. */
     std::shared_ptr<const slicer::EpochPlan>
     acquirePlan(const std::shared_ptr<const Session> &session,
                 size_t window_end, bool *was_hit = nullptr);
@@ -186,15 +169,6 @@ class SessionCache
         uint64_t invalidations = 0;
         uint64_t built = 0;     ///< Forward passes actually run.
         uint64_t openWaits = 0; ///< Joins onto an in-flight build.
-
-        /** Epoch-plan cache (bytes are included in `bytes` too). */
-        uint64_t planEntries = 0;
-        uint64_t planBytes = 0;
-        uint64_t planHits = 0;
-        uint64_t planMisses = 0;
-        uint64_t planBuilds = 0;
-        uint64_t planEvictions = 0;
-        uint64_t planWaits = 0; ///< Joins onto an in-flight plan build.
 
         /** Result memo (bytes are included in `bytes` too). */
         uint64_t memoEntries = 0;
@@ -230,24 +204,6 @@ class SessionCache
         std::shared_ptr<const TraceHandle> trace;
     };
 
-    struct PlanBuilding
-    {
-        bool done = false;
-        std::shared_ptr<const slicer::EpochPlan> plan;
-        std::exception_ptr error;
-    };
-
-    struct PlanEntry
-    {
-        std::shared_ptr<const slicer::EpochPlan> plan;
-        /** Keeps the control-dependence map the plan points into alive
-         *  even after the session entry itself is evicted. */
-        std::shared_ptr<const Session> session;
-        std::list<std::string>::iterator lruIt;
-        uint64_t identity = 0;
-        uint64_t bytes = 0;
-    };
-
     struct MemoEntry
     {
         std::shared_ptr<const SliceAnswer> answer;
@@ -271,20 +227,15 @@ class SessionCache
     /** Move `prefix` to the front of the LRU list. */
     void touchLocked(const std::string &prefix, Entry &entry);
 
-    /** Insert a built plan under the lock; evicts beyond the budget. */
-    void insertPlanLocked(const std::string &key, PlanEntry entry);
-
-    void removePlanLocked(const std::string &key);
-
     void removeMemoLocked(const std::string &key);
 
     /**
-     * While over the byte budget, evict cold plans, then cold answers,
-     * then cold sessions. The newest entry of each kind is exempt.
+     * While over the byte budget, evict cold answers, then cold
+     * sessions. The newest entry of each kind is exempt.
      */
     void evictLocked();
 
-    /** Drop the plans and answers of a now-invalidated recording. */
+    /** Drop the answers of a now-invalidated recording. */
     void dropDerivedLocked(uint64_t identity);
 
     void publishGaugesLocked();
@@ -297,13 +248,9 @@ class SessionCache
     std::unordered_map<std::string, Entry> entries_;
     std::list<std::string> lru_; ///< Front = most recently used.
     std::map<uint64_t, std::shared_ptr<Building>> building_;
-    std::unordered_map<std::string, PlanEntry> planEntries_;
-    std::list<std::string> planLru_; ///< Front = most recently used.
-    std::map<std::string, std::shared_ptr<PlanBuilding>> planBuilding_;
     std::unordered_map<std::string, MemoEntry> memoEntries_;
     std::list<std::string> memoLru_; ///< Front = most recently used.
     uint64_t bytes_ = 0;
-    uint64_t planBytes_ = 0; ///< Plans' share of bytes_.
     Stats counters_;
 };
 

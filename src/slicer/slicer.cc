@@ -5,8 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "slicer/epoch.hh"
-#include "slicer/kernel.hh"
+#include "support/flat_map.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 #include "support/sparse_byte_set.hh"
@@ -21,6 +20,63 @@ using trace::Pc;
 using trace::Record;
 using trace::RecordKind;
 using trace::ThreadId;
+
+namespace {
+
+/** Per-thread analysis state for the backward pass. */
+struct ThreadState
+{
+    /**
+     * Live virtual registers, one flag byte per RegId. The array covers
+     * the whole RegId space upfront (64 KiB per thread) so the hot
+     * gen/kill paths carry no bounds or sentinel branches: kNoReg
+     * indexes a slot that is never set.
+     */
+    std::vector<uint8_t> liveRegs =
+        std::vector<uint8_t>(size_t{trace::kNoReg} + 1, 0);
+
+    /** Branch pcs waiting for their nearest preceding dynamic instance. */
+    FlatSet64 pending;
+
+    /**
+     * Backward-reconstructed call stack. A frame is opened at a Ret record
+     * and closed at the matching Call; `any` records whether any
+     * instruction of the function instance joined the slice, which decides
+     * whether the Call/Ret pair joins it too.
+     */
+    struct Frame
+    {
+        size_t retIndex;
+        bool any = false;
+    };
+    std::vector<Frame> frames;
+
+    /** Memory effects buffered between a syscall's pseudo-records and the
+     *  Syscall record itself (they follow it in forward order, so the
+     *  backward pass sees them first). */
+    std::vector<trace::MemRange> syscallReads;
+    bool syscallWriteWasLive = false;
+
+    void
+    genReg(trace::RegId reg)
+    {
+        if (reg != trace::kNoReg)
+            liveRegs[reg] = 1;
+    }
+
+    /** Kill a register; returns whether it was live. */
+    bool
+    killReg(trace::RegId reg)
+    {
+        // kNoReg's slot exists and is never set; no sentinel branch.
+        if (!liveRegs[reg])
+            return false;
+        liveRegs[reg] = 0;
+        return true;
+    }
+};
+
+} // namespace
 
 /**
  * The sequential backward walk: one shared live-memory set, one dense
@@ -358,16 +414,6 @@ computeSlice(std::span<const Record> records, const graph::CfgSet &cfgs,
              const trace::CriteriaSet &criteria,
              const SlicerOptions &options)
 {
-    if (options.reusePlan) {
-        auto &registry = MetricRegistry::global();
-        if (options.reusePlan->compatibleWith(options, records.size())) {
-            registry.counter("slicer.plan_hits").add(1);
-            return computeSliceWithPlan(*options.reusePlan, criteria,
-                                        options);
-        }
-        // Stale or mismatched plan: fall through to the sequential walk.
-        registry.counter("slicer.plan_misses").add(1);
-    }
     BackwardPass pass(cfgs, deps, criteria, options, records.size());
     pass.run(records);
     return pass.finish();
@@ -379,16 +425,6 @@ computeSliceFromFile(const std::string &path, const graph::CfgSet &cfgs,
                      const trace::CriteriaSet &criteria,
                      const SlicerOptions &options)
 {
-    if (options.reusePlan) {
-        auto &registry = MetricRegistry::global();
-        if (options.reusePlan->compatibleWith(options,
-                                              cfgs.funcOf.size())) {
-            registry.counter("slicer.plan_hits").add(1);
-            return computeSliceWithPlan(*options.reusePlan, criteria,
-                                        options);
-        }
-        registry.counter("slicer.plan_misses").add(1);
-    }
     trace::TraceReader reader(path, trace::TraceReader::Direction::Backward);
     BackwardPass pass(cfgs, deps, criteria, options,
                       static_cast<size_t>(reader.count()));

@@ -80,10 +80,8 @@ struct SlicerOptions
     int jobs = 1;
 
     /**
-     * Accepted for callers and the wire protocol; the value no longer
-     * changes how a query runs. A compatible reusePlan is replayed in
-     * one walk (slicer/epoch.hh), and a cold query runs the sequential
-     * walk.
+     * Accepted for callers and the wire protocol, and ignored: every
+     * query runs the one sequential walk.
      */
     int backwardJobs = 1;
 
@@ -95,19 +93,7 @@ struct SlicerOptions
      */
     double progressIntervalSeconds = 0.0;
 
-    /**
-     * Optional prepared epoch plan (slicer/epoch.hh) from a previous
-     * query over the same trace window. When set and compatible (same
-     * record count, window, and dependence knobs — the plan itself is
-     * criterion-independent), computeSlice skips the transcode pass
-     * entirely and replays the cached ops; per-epoch gen/kill summaries
-     * additionally let it skip epochs the query's live set provably
-     * passes through unchanged. Every call replays: the plan memoizes
-     * no results (repeats are answered by the service's result memo,
-     * service/session_cache.hh). Incompatible or null plans fall back
-     * to the sequential walk. Non-owning: the plan (and the
-     * control-dependence map it points into) must outlive the call.
-     */
+    /** Ignored; kept because perfbench/src/serve_mixed.cc sets it. */
     const EpochPlan *reusePlan = nullptr;
 };
 
@@ -142,12 +128,8 @@ struct SliceResult
     uint64_t peakLiveMemChunks = 0;
     uint64_t peakPendingBranches = 0;
 
-    /**
-     * Live-set hash-table totals: live-memory chunk index plus the
-     * pending-branch sets. A plan replay grows its tables per epoch, so
-     * these two diagnostics are the only fields that may differ from
-     * the sequential walk's.
-     */
+    /** Live-set hash-table totals: live-memory chunk index plus the
+     *  pending-branch sets (diagnostics). */
     uint64_t flatProbes = 0;
     uint64_t flatResizes = 0;
 

@@ -40,7 +40,6 @@ buildStaticAnalysis(std::span<const trace::Record> records,
             analysis.rd.emplace(func, std::move(df));
         }
     }
-    deps.ensureSealed();
     analysis.deps = &deps;
     return analysis;
 }

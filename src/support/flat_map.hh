@@ -250,9 +250,6 @@ class FlatSet64
 
     bool contains(uint64_t key) const { return map_.find(key) != nullptr; }
 
-    /** contains() that writes nothing (see FlatMap64::peek). */
-    bool peek(uint64_t key) const { return map_.peek(key) != nullptr; }
-
     /** Remove key; true if it was present. */
     bool erase(uint64_t key) { return map_.erase(key); }
 

@@ -34,27 +34,11 @@ class SparseByteSet
   public:
     SparseByteSet() = default;
 
-    // Copies reset the last-chunk cache: the cached slot pointer aims
-    // into the *source* set's chunk storage, and the copied generation
-    // counter would make it look valid. The epoch-plan replay snapshots
-    // live sets at epoch boundaries, so copies must be safe.
-    SparseByteSet(const SparseByteSet &other)
-        : chunks_(other.chunks_), population_(other.population_)
-    {
-    }
-
-    SparseByteSet &
-    operator=(const SparseByteSet &other)
-    {
-        if (this != &other) {
-            chunks_ = other.chunks_;
-            population_ = other.population_;
-            cacheBase_ = kNoBase;
-            cachePtr_ = nullptr;
-            cacheGen_ = 0;
-        }
-        return *this;
-    }
+    // Not copyable: a copy's last-chunk cache would point into the
+    // source set's chunk storage, and the copied generation counter
+    // would make it look valid.
+    SparseByteSet(const SparseByteSet &) = delete;
+    SparseByteSet &operator=(const SparseByteSet &) = delete;
 
     /** Insert the byte range [addr, addr + size). */
     void

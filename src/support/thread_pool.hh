@@ -26,10 +26,9 @@ namespace webslice {
 
 /**
  * Tracks a set of tasks posted to a ThreadPool so a producer can block
- * until all of them have run. buildEpochPlan posts its per-epoch
- * transcode tasks against one group and the scheduler its queries; the
- * first exception thrown by any task is captured and rethrown from
- * wait().
+ * until all of them have run. The service scheduler posts its queries
+ * against one group; the first exception thrown by any task is
+ * captured and rethrown from wait().
  */
 class TaskGroup
 {
@@ -91,8 +90,8 @@ class ThreadPool
      * Let the calling thread execute queued tasks until `group` has no
      * outstanding work, then return (rethrowing the group's first task
      * exception). Tasks from other groups encountered in the queue are
-     * executed too — work is work. This is how buildEpochPlan's
-     * calling thread joins its own transcode tasks.
+     * executed too — work is work. The scheduler's graceful drain
+     * waits for its queries this way.
      */
     void drain(TaskGroup &group);
 

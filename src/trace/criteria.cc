@@ -46,32 +46,6 @@ CriteriaSet::add(uint32_t marker, uint64_t addr, uint64_t size)
     ranges.push_back(merged);
 }
 
-size_t
-CriteriaSet::splitBoundary(std::span<const Record> records, size_t proposed)
-{
-    if (proposed >= records.size())
-        return proposed;
-    size_t b = proposed;
-    // Pseudo-record groups are bounded by the syscall argument count, so
-    // a long walk means a malformed trace; cap it rather than crawl to
-    // the front of the trace.
-    constexpr size_t kMaxShift = 4096;
-    while (b > 0 && records[b].isPseudo()) {
-        fatal_if(proposed - b >= kMaxShift,
-                 "runaway syscall pseudo-record group at trace index ",
-                 proposed, "; trace is malformed");
-        --b;
-    }
-    if (b != proposed) {
-        warn("epoch boundary ", proposed, " splits a syscall group; ",
-             "shifted to ", b);
-        MetricRegistry::global()
-            .counter("criteria.epoch_boundary_splits")
-            .add(1);
-    }
-    return b;
-}
-
 const std::vector<MemRange> &
 CriteriaSet::forMarker(uint32_t marker) const
 {

@@ -14,7 +14,6 @@
 #define WEBSLICE_TRACE_CRITERIA_HH
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,22 +64,6 @@ class CriteriaSet
 
     /** Read a sidecar file written by save(); replaces contents. */
     void load(const std::string &path);
-
-    /**
-     * Adjust a proposed epoch boundary so it never splits a syscall
-     * pseudo-record group. A Syscall record and the SyscallRead/Write
-     * pseudo-records that follow it form one unit: in syscall-criteria
-     * mode the buffered read ranges *are* criterion bytes, and a
-     * boundary between the pseudos and their Syscall would seed them in
-     * a different epoch than the record that consumes them. The helper
-     * shifts the boundary down past any pseudo-records until it lands on
-     * the group's Syscall record (or 0), so the whole group falls into
-     * the later epoch; each shift is counted on the
-     * "criteria.epoch_boundary_splits" metric and warned about once per
-     * call. Returns the adjusted boundary.
-     */
-    static size_t splitBoundary(std::span<const Record> records,
-                                size_t proposed);
 
   private:
     std::unordered_map<uint32_t, std::vector<MemRange>> byMarker_;

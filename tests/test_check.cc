@@ -258,6 +258,7 @@ TEST_F(LinterMutations, BogusDependencePairFlagged)
     // A pair naming a non-branch pc as the controller.
     const auto &cfg = victimCfg();
     deps_.add(cfg.func, cfg.nodePc[2], cfg.nodePc[2]);
+    deps_.seal();
     const auto result = lint();
     EXPECT_FALSE(result.ok());
 }

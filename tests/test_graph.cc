@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
 #include "graph/postdom.hh"
@@ -137,6 +141,54 @@ TEST(ControlDeps, NonBranchMultiSuccessorIsIgnored)
     const ControlDepMap deps = buildControlDeps(cfgs);
     EXPECT_TRUE(deps.depsOf(1, 0x1000 + 4 * 3).empty());
     EXPECT_EQ(deps.pairCount(), 0u);
+}
+
+TEST(ControlDepMap, ConcurrentFirstLookupsReadASealedMap)
+{
+    // buildControlDeps() hands back a sealed map: the very first
+    // depsOf() calls, from four threads at once, only read it.
+    CfgSet cfgs;
+    Cfg cfg = makeCfg(6,
+                      {{0, 2}, {2, 3}, {2, 4}, {3, 5}, {4, 5}, {5, 1}});
+    cfg.func = 0;
+    cfg.isBranch[2] = true;
+    cfgs.byFunc.emplace(0u, std::move(cfg));
+    const ControlDepMap deps = buildControlDeps(cfgs);
+
+    constexpr int kThreads = 4;
+    const trace::Pc branch_pc = 0x1000 + 4 * 2;
+    std::atomic<int> ready{0};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) {
+            }
+            for (int i = 0; i < 1000; ++i) {
+                const auto then_deps = deps.depsOf(0, 0x1000 + 4 * 3);
+                const auto join_deps = deps.depsOf(0, 0x1000 + 4 * 5);
+                if (then_deps.size() != 1 || then_deps[0] != branch_pc ||
+                    !join_deps.empty())
+                    wrong.fetch_add(1);
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ControlDepMap, LookupAfterAddWithoutSealPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ControlDepMap deps;
+    EXPECT_TRUE(deps.depsOf(2, 0x1010).empty()); // an empty map is sealed
+    deps.add(2, 0x1010, 0x1004);
+    EXPECT_DEATH(deps.depsOf(2, 0x1010), "without a seal");
+    deps.seal();
+    ASSERT_EQ(deps.depsOf(2, 0x1010).size(), 1u);
+    EXPECT_EQ(deps.depsOf(2, 0x1010)[0], 0x1004u);
 }
 
 TEST(ControlDepMap, SaveLoadRoundTrip)

@@ -524,10 +524,8 @@ TEST(SessionCache, RepublishedTraceInvalidatesTheEntry)
     SessionCache cache(1ull << 30);
     const auto first = cache.acquire(program.prefix);
     const size_t window = first->windowEnd(false, UINT64_MAX);
-    cache.acquirePlan(first, window);
     cache.storeAnswer(*first, window, slicer::CriteriaMode::PixelBuffer,
                       dummyAnswer(1));
-    EXPECT_EQ(cache.stats().planEntries, 1u);
     EXPECT_EQ(cache.stats().memoEntries, 1u);
 
     republish(program.prefix + ".trc",
@@ -543,7 +541,6 @@ TEST(SessionCache, RepublishedTraceInvalidatesTheEntry)
     EXPECT_EQ(stats.traceRehashes, 1u);
     EXPECT_EQ(stats.invalidations, 1u);
     EXPECT_EQ(stats.built, 2u);
-    EXPECT_EQ(stats.planEntries, 0u);
     EXPECT_EQ(stats.memoEntries, 0u);
     EXPECT_EQ(cache.findAnswer(*first, window,
                                slicer::CriteriaMode::PixelBuffer),
@@ -612,71 +609,11 @@ TEST(SessionCache, MissingArtifactsThrowInsteadOfExiting)
     EXPECT_EQ(cache.stats().entries, 0u);
 }
 
-// ---- epoch-plan cache ----------------------------------------------------
-
-TEST(SessionCache, PlanAcquireHitsPerWindowAndCountsStats)
-{
-    const SavedProgram program("plan_cache", /*salt=*/21);
-    SessionCache cache(1ull << 30);
-    const auto session = cache.acquire(program.prefix);
-    const size_t window = session->windowEnd(false, UINT64_MAX);
-
-    bool hit = true;
-    const auto plan = cache.acquirePlan(session, window, &hit);
-    ASSERT_TRUE(plan);
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(plan->windowEnd(), window);
-
-    const auto again = cache.acquirePlan(session, window, &hit);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(plan.get(), again.get());
-
-    // A different window is a different plan.
-    const auto other = cache.acquirePlan(session, window - 1, &hit);
-    ASSERT_TRUE(other);
-    EXPECT_FALSE(hit);
-    EXPECT_NE(other.get(), plan.get());
-
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.planBuilds, 2u);
-    EXPECT_EQ(stats.planHits, 1u);
-    EXPECT_EQ(stats.planMisses, 2u);
-    EXPECT_EQ(stats.planEntries, 2u);
-    EXPECT_GT(stats.planBytes, 0u);
-    EXPECT_GE(stats.bytes, stats.planBytes);
-}
-
-TEST(SessionCache, PlansEvictUnderTheSharedByteBudget)
-{
-    const SavedProgram program("plan_evict", /*salt=*/22);
-
-    // Nothing fits in one byte, but the newest plan (and session) are
-    // exempt: each insertion evicts the previous plan, never the
-    // session.
-    SessionCache cache(/*byte_budget=*/1);
-    const auto session = cache.acquire(program.prefix);
-    const size_t window = session->windowEnd(false, UINT64_MAX);
-
-    cache.acquirePlan(session, window);
-    EXPECT_EQ(cache.stats().planEntries, 1u);
-    cache.acquirePlan(session, window - 1);
-    auto stats = cache.stats();
-    EXPECT_EQ(stats.planEntries, 1u);
-    EXPECT_EQ(stats.planEvictions, 1u);
-    EXPECT_EQ(stats.entries, 1u); // plans go before sessions
-
-    // The evicted window must be rebuilt on its next use.
-    bool hit = true;
-    cache.acquirePlan(session, window, &hit);
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(cache.stats().planBuilds, 3u);
-}
-
 TEST(SessionCache, AnswersEvictUnderTheSharedByteBudget)
 {
     const SavedProgram program("memo_evict", /*salt=*/35);
 
-    // As with plans, nothing fits in one byte but the newest answer
+    // As with sessions, nothing fits in one byte but the newest answer
     // (and session) are exempt: each answer evicts the previous one.
     SessionCache cache(/*byte_budget=*/1);
     const auto session = cache.acquire(program.prefix);
@@ -701,17 +638,21 @@ TEST(SessionCache, AnswersEvictUnderTheSharedByteBudget)
     EXPECT_EQ(cache.stats().memoHits, 1u);
 }
 
-TEST(SessionCache, InvalidationDropsTheRecordingsPlans)
+TEST(SessionCache, InvalidationDropsTheRecordingsAnswers)
 {
-    const SavedProgram program("plan_invalidate", /*salt=*/23);
+    const SavedProgram program("memo_invalidate", /*salt=*/23);
     SessionCache cache(1ull << 30);
     const auto first = cache.acquire(program.prefix);
     const size_t window = first->windowEnd(false, UINT64_MAX);
-    cache.acquirePlan(first, window);
-    EXPECT_EQ(cache.stats().planEntries, 1u);
+    cache.storeAnswer(*first, window, slicer::CriteriaMode::PixelBuffer,
+                      dummyAnswer(1));
+    cache.storeAnswer(*first, window, slicer::CriteriaMode::Syscalls,
+                      dummyAnswer(2));
+    EXPECT_EQ(cache.stats().memoEntries, 2u);
 
     // Rewrite the criteria sidecar: same prefix, different recording —
-    // plans built against the stale artifacts must go with the session.
+    // answers computed from the stale artifacts must go with the
+    // session.
     {
         trace::CriteriaSet fewer;
         fewer.add(/*marker=*/0, program.buffers[0], 4);
@@ -719,13 +660,16 @@ TEST(SessionCache, InvalidationDropsTheRecordingsPlans)
     }
     const auto second = cache.acquire(program.prefix);
     EXPECT_EQ(cache.stats().invalidations, 1u);
-    EXPECT_EQ(cache.stats().planEntries, 0u);
-
-    bool hit = true;
-    const auto rebuilt = cache.acquirePlan(
-        second, second->windowEnd(false, UINT64_MAX), &hit);
-    ASSERT_TRUE(rebuilt);
-    EXPECT_FALSE(hit);
+    EXPECT_EQ(cache.stats().memoEntries, 0u);
+    for (const auto mode : {slicer::CriteriaMode::PixelBuffer,
+                            slicer::CriteriaMode::Syscalls}) {
+        EXPECT_EQ(cache.findAnswer(*first, window, mode), nullptr);
+        EXPECT_EQ(cache.findAnswer(*second,
+                                   second->windowEnd(false, UINT64_MAX),
+                                   mode),
+                  nullptr);
+    }
+    EXPECT_EQ(cache.stats().memoHits, 0u);
 }
 
 // ---- scheduler -----------------------------------------------------------
@@ -830,9 +774,9 @@ TEST(Scheduler, LoadFailuresFailTheOneRequestOnly)
     EXPECT_EQ(scheduler.stats().failed, 1u);
 }
 
-TEST(Scheduler, ManyCriteriaOverOneSessionShareOnePlan)
+TEST(Scheduler, ManyCriteriaOverOneSessionWalkOncePerMode)
 {
-    const SavedProgram program("sched_plans", /*salt=*/24);
+    const SavedProgram program("sched_criteria", /*salt=*/24);
     SessionCache cache(1ull << 30);
     Scheduler scheduler(cache, {/*workers=*/2, /*maxQueue=*/32});
 
@@ -843,10 +787,9 @@ TEST(Scheduler, ManyCriteriaOverOneSessionShareOnePlan)
     const auto direct_syscalls = program.directSlice(syscall_options);
 
     // Eight criterion queries against one recording: both modes, four
-    // backward-job counts. Sequential waits make the first query the
-    // one (and only) plan build and the second (the other mode) a walk
-    // over that plan; backward-jobs is an execution knob, so the other
-    // six are repeats answered from the result memo.
+    // backward-job counts. Sequential waits make the first query of
+    // each mode its one walk; backward-jobs is an execution knob, so
+    // the other six are repeats answered from the result memo.
     for (int i = 0; i < 8; ++i) {
         SliceQuery query;
         query.mode = i % 2 ? slicer::CriteriaMode::Syscalls
@@ -856,7 +799,6 @@ TEST(Scheduler, ManyCriteriaOverOneSessionShareOnePlan)
         ASSERT_FALSE(submitted.rejected);
         const QueryResult &result = submitted.job->wait();
         ASSERT_EQ(result.status, QueryResult::Status::Ok) << result.error;
-        EXPECT_EQ(result.planHit, i == 1) << "query " << i;
         EXPECT_EQ(result.memoHit, i >= 2) << "query " << i;
 
         const auto &direct = i % 2 ? direct_syscalls : direct_pixel;
@@ -867,80 +809,65 @@ TEST(Scheduler, ManyCriteriaOverOneSessionShareOnePlan)
     scheduler.drain();
 
     const auto stats = cache.stats();
-    EXPECT_EQ(stats.planBuilds, 1u);
-    EXPECT_EQ(stats.planHits, 1u);
     EXPECT_EQ(stats.memoHits, 6u);
     EXPECT_EQ(stats.memoEntries, 2u);
     EXPECT_EQ(stats.built, 1u); // one forward pass for the whole batch
 }
 
-TEST(Scheduler, PlanEvictionMidBatchKeepsResultsCorrect)
+TEST(Scheduler, EvictionMidBatchKeepsResultsCorrect)
 {
-    const SavedProgram program("sched_evict", /*salt=*/25);
+    const SavedProgram programs[] = {
+        SavedProgram("sched_evict_a", /*salt=*/25),
+        SavedProgram("sched_evict_b", /*salt=*/26)};
 
-    // A one-byte budget holds only the newest plan: alternating between
-    // two windows evicts the other window's plan every time, so every
-    // query after the first pair rebuilds — and must still be right.
+    // A one-byte budget holds only the newest answer and the newest
+    // session: alternating between two recordings and two windows
+    // evicts the other recording's session and the previous answer
+    // every time, so every query rebuilds and walks — and must still
+    // be right.
     SessionCache cache(/*byte_budget=*/1);
     Scheduler scheduler(cache, {/*workers=*/1, /*maxQueue=*/16});
 
     const size_t windows[] = {60, 40};
-    slicer::SliceResult oracle[2];
-    for (int w = 0; w < 2; ++w) {
-        slicer::SlicerOptions options;
-        options.endIndex = windows[w];
-        oracle[w] = program.directSlice(options);
+    slicer::SliceResult oracle[2][2];
+    for (int p = 0; p < 2; ++p) {
+        for (int w = 0; w < 2; ++w) {
+            slicer::SlicerOptions options;
+            options.endIndex = windows[w];
+            oracle[p][w] = programs[p].directSlice(options);
+        }
     }
 
     for (int round = 0; round < 3; ++round) {
-        for (int w = 0; w < 2; ++w) {
-            SliceQuery query;
-            query.endIndex = windows[w];
-            query.backwardJobs = 1 + round;
-            const auto submitted =
-                scheduler.submit(program.prefix, query);
-            ASSERT_FALSE(submitted.rejected);
-            const QueryResult &result = submitted.job->wait();
-            ASSERT_EQ(result.status, QueryResult::Status::Ok)
-                << result.error;
-            EXPECT_EQ(result.inSliceFnv1a,
-                      fnv1a64(oracle[w].inSlice.data(),
-                              oracle[w].inSlice.size()))
-                << "round " << round << " window " << windows[w];
+        for (int p = 0; p < 2; ++p) {
+            for (int w = 0; w < 2; ++w) {
+                SliceQuery query;
+                query.endIndex = windows[w];
+                query.backwardJobs = 1 + round;
+                const auto submitted =
+                    scheduler.submit(programs[p].prefix, query);
+                ASSERT_FALSE(submitted.rejected);
+                const QueryResult &result = submitted.job->wait();
+                ASSERT_EQ(result.status, QueryResult::Status::Ok)
+                    << result.error;
+                EXPECT_FALSE(result.memoHit);
+                EXPECT_EQ(result.inSliceFnv1a,
+                          fnv1a64(oracle[p][w].inSlice.data(),
+                                  oracle[p][w].inSlice.size()))
+                    << "round " << round << " recording " << p
+                    << " window " << windows[w];
+            }
         }
     }
     scheduler.drain();
 
     const auto stats = cache.stats();
-    EXPECT_GE(stats.planEvictions, 4u);
-    EXPECT_EQ(stats.planBuilds, 6u); // every round rebuilds both plans
-    EXPECT_LE(stats.planEntries, 1u);
-}
-
-TEST(Scheduler, PlanlessModeRunsEveryQueryCold)
-{
-    const SavedProgram program("sched_planless", /*salt=*/26);
-    SessionCache cache(1ull << 30);
-    Scheduler scheduler(
-        cache, {/*workers=*/1, /*maxQueue=*/16, /*usePlans=*/false});
-
-    // Two windows, so neither query is a repeat the memo answers.
-    for (const uint64_t end : {UINT64_MAX, uint64_t{50}}) {
-        slicer::SlicerOptions options;
-        options.endIndex = end;
-        const auto direct = program.directSlice(options);
-        SliceQuery query;
-        query.endIndex = end;
-        const auto submitted = scheduler.submit(program.prefix, query);
-        const QueryResult &result = submitted.job->wait();
-        ASSERT_EQ(result.status, QueryResult::Status::Ok) << result.error;
-        EXPECT_FALSE(result.planHit);
-        EXPECT_FALSE(result.memoHit);
-        EXPECT_EQ(result.inSliceFnv1a,
-                  fnv1a64(direct.inSlice.data(), direct.inSlice.size()));
-    }
-    scheduler.drain();
-    EXPECT_EQ(cache.stats().planBuilds, 0u);
+    EXPECT_EQ(stats.memoHits, 0u);
+    EXPECT_EQ(stats.memoEvictions, 11u); // every answer but the last
+    EXPECT_EQ(stats.evictions, 5u);      // every session but the last
+    EXPECT_EQ(stats.built, 6u);
+    EXPECT_LE(stats.memoEntries, 1u);
+    EXPECT_EQ(stats.entries, 1u);
 }
 
 /** Every field a result frame carries about the slice must match. */
@@ -961,37 +888,27 @@ expectSameAnswer(const QueryResult &a, const QueryResult &b)
 
 TEST(Scheduler, RepeatedQueryIsAMemoHit)
 {
-    for (const bool use_plans : {true, false}) {
-        SCOPED_TRACE(use_plans ? "plans on" : "plans off");
-        const SavedProgram program("sched_memo", /*salt=*/27);
-        SessionCache cache(1ull << 30);
-        Scheduler scheduler(cache, {/*workers=*/1, /*maxQueue=*/16,
-                                    /*usePlans=*/use_plans});
+    const SavedProgram program("sched_memo", /*salt=*/27);
+    SessionCache cache(1ull << 30);
+    Scheduler scheduler(cache, {/*workers=*/1, /*maxQueue=*/16});
 
-        SliceQuery query;
-        const QueryResult first =
-            scheduler.submit(program.prefix, query).job->wait();
-        ASSERT_EQ(first.status, QueryResult::Status::Ok) << first.error;
-        EXPECT_FALSE(first.memoHit);
-        const auto before = cache.stats();
+    SliceQuery query;
+    const QueryResult first =
+        scheduler.submit(program.prefix, query).job->wait();
+    ASSERT_EQ(first.status, QueryResult::Status::Ok) << first.error;
+    EXPECT_FALSE(first.memoHit);
+    const auto before = cache.stats();
 
-        query.backwardJobs = 3; // an execution knob, not a criterion
-        const QueryResult second =
-            scheduler.submit(program.prefix, query).job->wait();
-        ASSERT_EQ(second.status, QueryResult::Status::Ok) << second.error;
-        EXPECT_TRUE(second.memoHit);
-        EXPECT_TRUE(second.cacheHit);
-        EXPECT_FALSE(second.planHit);
-        EXPECT_EQ(second.sliceMs, 0.0);
-        expectSameAnswer(first, second);
-
-        // The repeat touched no plan.
-        const auto after = cache.stats();
-        EXPECT_EQ(after.planHits, before.planHits);
-        EXPECT_EQ(after.planBuilds, before.planBuilds);
-        EXPECT_EQ(after.memoHits, before.memoHits + 1);
-        scheduler.drain();
-    }
+    query.backwardJobs = 3; // an execution knob, not a criterion
+    const QueryResult second =
+        scheduler.submit(program.prefix, query).job->wait();
+    ASSERT_EQ(second.status, QueryResult::Status::Ok) << second.error;
+    EXPECT_TRUE(second.memoHit);
+    EXPECT_TRUE(second.cacheHit);
+    EXPECT_EQ(second.sliceMs, 0.0);
+    expectSameAnswer(first, second);
+    EXPECT_EQ(cache.stats().memoHits, before.memoHits + 1);
+    scheduler.drain();
 }
 
 TEST(Scheduler, OtherWindowOrModeMissesTheMemo)
@@ -1074,7 +991,7 @@ TEST(Server, ServesABatchOverAUnixSocket)
 
     // Same batch again: the session comes from the cache, and every
     // answer from the result memo the first batch filled — no slice
-    // runs, so no plan is touched.
+    // runs.
     ServiceClient::BatchOutcome warm;
     ASSERT_TRUE(client.batch(program.prefix, queries, warm, error))
         << error;
@@ -1083,35 +1000,24 @@ TEST(Server, ServesABatchOverAUnixSocket)
         const auto &result = warm.results[i];
         EXPECT_TRUE(result.cacheHit);
         EXPECT_TRUE(result.memoHit);
-        EXPECT_FALSE(result.planHit);
         EXPECT_EQ(result.sliceMs, 0.0);
         expectSameAnswer(outcome.results[i], result);
     }
     EXPECT_EQ(server.cache().stats().built, 1u);
-    // Two windows appeared in the batch (default and endIndex=40), so
-    // exactly two plans were transcoded across both batches.
-    EXPECT_EQ(server.cache().stats().planBuilds, 2u);
 
-    // stats frames carry the cache, slicer, and scheduler sections.
+    // stats frames carry the cache and scheduler sections.
     Json stats_request = Json::object();
     stats_request.set("op", Json::string("stats"));
     Json stats;
     ASSERT_TRUE(client.call(stats_request, stats, error)) << error;
     ASSERT_NE(stats.find("cache"), nullptr);
     EXPECT_EQ(stats.find("cache")->find("built")->asInt(), 1);
-    EXPECT_EQ(stats.find("cache")->find("plan_builds")->asInt(), 2);
+    EXPECT_EQ(stats.find("cache")->find("plan_evictions")->asInt(), 0);
     // Three distinct (window, mode) answers; the warm batch hit all four.
     EXPECT_EQ(stats.find("cache")->find("memo_entries")->asInt(), 3);
     EXPECT_GE(stats.find("cache")->find("memo_hits")->asInt(), 4);
     ASSERT_NE(stats.find("scheduler"), nullptr);
-    // Slicer counters are global across the process, so only presence
-    // and monotonicity are asserted here. The cold batch walked a plan
-    // for each of its three distinct answers.
-    const Json *slicer_stats = stats.find("slicer");
-    ASSERT_NE(slicer_stats, nullptr);
-    ASSERT_NE(slicer_stats->find("epoch_boundary_splits"), nullptr);
-    EXPECT_GE(slicer_stats->find("plan_hits")->asInt(), 3);
-    EXPECT_EQ(slicer_stats->find("memo_hits"), nullptr);
+    EXPECT_EQ(stats.find("slicer"), nullptr);
 
     // A malformed request answers with an error frame, not a dead
     // daemon; the connection closes, so reconnect for shutdown.

@@ -16,6 +16,7 @@
 #include "sim/machine.hh"
 #include "sim/syscalls.hh"
 #include "slicer/slicer.hh"
+#include "big_saved_program.hh"
 
 namespace webslice {
 namespace slicer {
@@ -37,6 +38,38 @@ slice(Machine &machine, SlicerOptions options = {})
     const auto deps = buildControlDeps(cfgs);
     return computeSlice(machine.records(), cfgs, deps,
                         machine.pixelCriteria(), options);
+}
+
+/** Everything the backward pass needs, built once per machine. */
+struct ForwardResult
+{
+    graph::CfgSet cfgs;
+    graph::ControlDepMap deps;
+
+    explicit ForwardResult(const Machine &machine)
+        : cfgs(buildCfgs(machine.records(), machine.symtab())),
+          deps(buildControlDeps(cfgs))
+    {
+    }
+};
+
+/** Every field but the hash diagnostics must match the oracle. */
+void
+expectIdentical(const SliceResult &oracle, const SliceResult &other,
+                const char *what)
+{
+    EXPECT_EQ(oracle.inSlice, other.inSlice) << what;
+    EXPECT_EQ(oracle.instructionsAnalyzed, other.instructionsAnalyzed)
+        << what;
+    EXPECT_EQ(oracle.sliceInstructions, other.sliceInstructions) << what;
+    EXPECT_EQ(oracle.criteriaBytesSeeded, other.criteriaBytesSeeded)
+        << what;
+    EXPECT_EQ(oracle.recordsFed, other.recordsFed) << what;
+    EXPECT_EQ(oracle.analyzedWindowEnd, other.analyzedWindowEnd) << what;
+    EXPECT_EQ(oracle.peakLiveMemBytes, other.peakLiveMemBytes) << what;
+    EXPECT_EQ(oracle.peakLiveMemChunks, other.peakLiveMemChunks) << what;
+    EXPECT_EQ(oracle.peakPendingBranches, other.peakPendingBranches)
+        << what;
 }
 
 /** Index of the i-th record of the given kind. */
@@ -679,6 +712,58 @@ TEST(Slicer, PeakDiagnosticsArePopulated)
     const auto result = slice(machine);
     EXPECT_GE(result.peakLiveMemBytes, 252u);
     EXPECT_EQ(result.slicePercent(), 100.0);
+}
+
+// ---- the streamed file walk ----------------------------------------------
+
+TEST(Slicer, FileSliceMatchesMemorySlice)
+{
+    const BigSavedProgram program;
+    const ForwardResult fwd(program.machine);
+
+    // The whole trace, then a window that cuts mid-trace.
+    SlicerOptions options;
+    for (const size_t end :
+         {program.machine.records().size(),
+          program.machine.records().size() / 2}) {
+        options.endIndex = end;
+        const auto memory =
+            computeSlice(program.machine.records(), fwd.cfgs, fwd.deps,
+                         program.machine.pixelCriteria(), options);
+        auto file = computeSliceFromFile(
+            program.path, fwd.cfgs, fwd.deps,
+            program.machine.pixelCriteria(), options);
+        // The streamed walk is fed the records past the window too.
+        EXPECT_EQ(file.recordsFed, program.machine.records().size());
+        file.recordsFed = memory.recordsFed;
+        expectIdentical(memory, file, "file vs memory");
+    }
+}
+
+TEST(Slicer, ColdQueriesWalkSequentiallyAtAnyJobCount)
+{
+    // backwardJobs changes nothing: the slice is the 1-job walk's, hash
+    // diagnostics included.
+    const BigSavedProgram program;
+    const ForwardResult fwd(program.machine);
+    const auto &records = program.machine.records();
+    const auto &criteria = program.machine.pixelCriteria();
+
+    SlicerOptions options;
+    const auto oracle =
+        computeSlice(records, fwd.cfgs, fwd.deps, criteria, options);
+
+    options.backwardJobs = 4;
+    const auto memory =
+        computeSlice(records, fwd.cfgs, fwd.deps, criteria, options);
+    const auto file = computeSliceFromFile(program.path, fwd.cfgs,
+                                           fwd.deps, criteria, options);
+
+    for (const auto *cold : {&memory, &file}) {
+        expectIdentical(oracle, *cold, "cold query at 4 jobs");
+        EXPECT_EQ(oracle.flatProbes, cold->flatProbes);
+        EXPECT_EQ(oracle.flatResizes, cold->flatResizes);
+    }
 }
 
 } // namespace

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <fcntl.h>
@@ -18,6 +22,7 @@
 #include "trace/record.hh"
 #include "trace/symtab.hh"
 #include "trace/trace_file.hh"
+#include "big_saved_program.hh"
 #include "temp_dir.hh"
 
 namespace webslice {
@@ -220,6 +225,57 @@ TEST(CriteriaSet, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.forMarker(1)[0], (MemRange{0xAAAA, 16}));
     EXPECT_EQ(loaded.totalBytes(), 48u);
     std::remove(path.c_str());
+}
+
+TEST(TraceIndexFooter, RoundTripsThroughWriterAndLoader)
+{
+    const BigSavedProgram program;
+    const auto &records = program.machine.records();
+
+    // Parse the WEBTIDX1 footer straight from the file's bytes: magic,
+    // records per block, block count, then one (executed, pseudo) pair
+    // of u32 counts per block.
+    std::ifstream in(program.path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    const size_t footer = 16 + records.size() * sizeof(trace::Record);
+    ASSERT_GE(bytes.size(), footer + 24);
+    EXPECT_EQ(bytes.substr(footer, 8), std::string("WEBTIDX1", 8));
+    const auto u64_at = [&](size_t offset) {
+        uint64_t v;
+        std::memcpy(&v, bytes.data() + offset, sizeof(v));
+        return v;
+    };
+    const auto u32_at = [&](size_t offset) {
+        uint32_t v;
+        std::memcpy(&v, bytes.data() + offset, sizeof(v));
+        return v;
+    };
+    EXPECT_EQ(u64_at(footer + 8), trace::kTraceIndexBlockRecords);
+    const size_t blocks =
+        (records.size() + trace::kTraceIndexBlockRecords - 1) /
+        trace::kTraceIndexBlockRecords;
+    ASSERT_GE(blocks, 2u);
+    ASSERT_EQ(u64_at(footer + 16), blocks);
+    ASSERT_EQ(bytes.size(), footer + 24 + 8 * blocks);
+
+    for (size_t b = 0; b < blocks; ++b) {
+        uint32_t instructions = 0;
+        uint32_t pseudos = 0;
+        const size_t end = std::min(records.size(),
+                                    (b + 1) * trace::kTraceIndexBlockRecords);
+        for (size_t i = b * trace::kTraceIndexBlockRecords; i < end; ++i)
+            ++(records[i].isPseudo() ? pseudos : instructions);
+        EXPECT_EQ(u32_at(footer + 24 + 8 * b), instructions) << "block " << b;
+        EXPECT_EQ(u32_at(footer + 28 + 8 * b), pseudos) << "block " << b;
+    }
+
+    // Every reader accepts the footer.
+    trace::MappedTrace mapped(program.path);
+    EXPECT_TRUE(mapped.mapped());
+    EXPECT_EQ(mapped.count(), records.size());
+    EXPECT_EQ(mapped[0].pc, records[0].pc);
+    EXPECT_EQ(trace::loadTrace(program.path).size(), records.size());
 }
 
 } // namespace

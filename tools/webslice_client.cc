@@ -33,8 +33,8 @@
  *
  * `--query @criteria.txt` expands a spec file: one SPEC per line, blank
  * lines and `#` comments ignored. This is the convenient way to run
- * many criteria against one session (the daemon transcodes the epochs
- * once and answers every further criterion from the cached plan).
+ * many criteria against one session (the daemon builds the session
+ * once, walks each new criterion, and answers repeats from its memo).
  *
  * Result frames are printed as JSON lines as they stream in, so a batch
  * behaves well in a pipeline; a fleet batch closes the stream with one

@@ -41,8 +41,8 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: %s --socket PATH [--tcp PORT] [--workers N] [--queue N]\n"
-    "       [--cache-bytes N] [--forward-jobs N] [--no-plan-cache]\n"
-    "       [--preload PREFIX] [--metrics-json FILE]\n"
+    "       [--cache-bytes N] [--forward-jobs N] [--preload PREFIX]\n"
+    "       [--metrics-json FILE]\n"
     "       [--shard-id NAME] [--shard-epoch N]\n"
     "\n"
     "  --socket PATH         Unix-domain listening socket (required)\n"
@@ -54,9 +54,6 @@ constexpr char kUsage[] =
     "  --cache-bytes N       session-cache byte budget (default 2 GiB)\n"
     "  --forward-jobs N      threads for a session's forward pass;\n"
     "                        0 = all cores (default)\n"
-    "  --no-plan-cache       do not cache epoch transcodes across\n"
-    "                        criteria (every query pays the full\n"
-    "                        backward pass; benchmarking baseline)\n"
     "  --preload PREFIX      build this recording's session before\n"
     "                        accepting connections (repeatable)\n"
     "  --metrics-json FILE   write the run report at exit ('-' = stdout)\n"
@@ -123,8 +120,6 @@ main(int argc, char **argv)
             options.forwardJobs = static_cast<int>(
                 parseCount("--forward-jobs",
                            need_value("--forward-jobs"), 1u << 16));
-        } else if (!std::strcmp(argv[a], "--no-plan-cache")) {
-            options.usePlans = false;
         } else if (!std::strcmp(argv[a], "--preload")) {
             preload.push_back(need_value("--preload"));
         } else if (!std::strcmp(argv[a], "--metrics-json")) {
