@@ -7,10 +7,11 @@
  *
  * Measures the profiler's two passes over one built-in scenario's
  * trace (default bing) at
- * increasing forward-pass thread counts: the parallel per-function
- * forward pass (CFG construction and control dependences) at N jobs,
- * then the sequential backward walk. The 1-job pipeline is the
- * baseline.
+ * increasing forward-pass thread counts: the forward pass at N jobs
+ * (one feed loop, then the per-function CFG replay and control
+ * dependences on N threads), then the sequential backward walk. The
+ * 1-job pipeline is the baseline; it runs the same builder, so a
+ * speedup measures the per-function threads alone.
  *
  * Every configuration's slice is verified bit-identical to the 1-job
  * slice before any number is reported. Results go to stdout as a table

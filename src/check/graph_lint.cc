@@ -64,8 +64,10 @@ struct Reference
 
 /**
  * Independently re-derive the CFG set from the raw record stream: the
- * same Call/Ret frame-matching semantics as CfgBuilder, written against
- * plain sets so a builder bug cannot hide in shared code.
+ * same Call/Ret frame-matching semantics as graph/cfg.cc's forward
+ * builder, written record by record against plain sets (no transition
+ * filter, no deferred replay) so a builder bug cannot hide in shared
+ * code.
  */
 Reference
 replayReference(std::span<const Record> records,
@@ -170,7 +172,7 @@ replayReference(std::span<const Record> records,
     }
 
     // Close frames still open at trace end, then give every remaining
-    // successor-less node an edge to the exit — the builders' close-out
+    // successor-less node an edge to the exit — the builder's close-out
     // and defensive fix-up, re-derived.
     for (const auto &stack : stacks) {
         ref.stats.framesOpenAtEnd += stack.size();

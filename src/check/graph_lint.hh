@@ -12,7 +12,7 @@
  *     the raw record stream (a deliberately naive reimplementation of
  *     the Call/Ret frame-matching semantics) diffed edge-by-edge
  *     against the builder's output, including per-record attribution,
- *     synthetic names, and the builders' frame/transition totals.
+ *     synthetic names, and the builder's frame/transition totals.
  *  3. Analysis consistency: postdominators recomputed with a naive
  *     O(n^2) bitset dataflow reference and diffed against postdom.cc's
  *     Cooper-Harvey-Kennedy result, and the ControlDepMap diffed in

@@ -12,6 +12,18 @@
  *
  * Records executed outside any traced function (thread run-loop glue) are
  * attributed to one synthetic "toplevel" function per thread.
+ *
+ * One builder, private to cfg.cc, does this for both entry points. Its
+ * feed loop does only the inherently sequential work (frame matching,
+ * synthetic-function assignment, per-record attribution) and records
+ * one compact transition per record in its function's stream, behind a
+ * small direct-mapped filter that drops transitions already seen, so a
+ * stream holds roughly the unique control-flow edges. The streams are
+ * then replayed per function, on `jobs` threads, into nodes and edges.
+ * The filter keeps the first occurrence of every transition in order,
+ * so node ids follow first use, and addEdge() drops the duplicates a
+ * filter collision lets through; frames still open when the trace ends
+ * are closed in thread-id order. The result does not depend on `jobs`.
  */
 
 #ifndef WEBSLICE_GRAPH_CFG_HH
@@ -69,10 +81,10 @@ struct Cfg
 struct CfgSet
 {
     /**
-     * Feed-level totals, defined purely in terms of the record stream so
-     * both builders fill them identically. The verification layer's
-     * graph linter recomputes each from the raw trace and diffs — a
-     * mismatch means the builder dropped or duplicated work.
+     * Feed-level totals, defined purely in terms of the record stream.
+     * The verification layer's graph linter recomputes each from the
+     * raw trace and diffs — a mismatch means the builder dropped or
+     * duplicated work.
      */
     struct Stats
     {
@@ -122,205 +134,15 @@ struct CfgSet
 };
 
 /**
- * Incremental forward-pass CFG builder: feed records first-to-last, then
- * take the finished CfgSet. Both the in-memory and the file-streaming
- * front ends drive this.
- */
-class CfgBuilder
-{
-  public:
-    explicit CfgBuilder(const trace::SymbolTable &symtab);
-
-    /** Consume the next record (records must arrive in trace order). */
-    void feed(const trace::Record &record);
-
-    /** Close open frames and return the result; the builder is spent. */
-    CfgSet finish();
-
-  private:
-    struct Frame
-    {
-        trace::FuncId func = trace::kNoFunc;
-        NodeId lastNode = kNoNode;
-    };
-
-    Cfg &cfgFor(trace::FuncId func);
-    Frame &topFrame(trace::ThreadId tid);
-    trace::FuncId step(trace::ThreadId tid, trace::Pc pc, bool is_branch);
-
-    const trace::SymbolTable &symtab_;
-    CfgSet out_;
-    std::unordered_map<trace::ThreadId, std::vector<Frame>> threads_;
-    trace::FuncId nextSynthetic_;
-    bool finished_ = false;
-};
-
-/**
- * Incremental forward-pass CFG builder that defers node and edge
- * construction so it can be parallelized across functions.
- *
- * feed() performs only the inherently sequential work (call/return frame
- * matching, synthetic-function assignment, per-record attribution) and
- * records one compact transition per record, grouped by function. A small
- * direct-mapped filter per function drops transitions already seen, so
- * the recorded streams hold roughly the *unique* control-flow edges, not
- * one entry per record — loop-heavy traces shrink by orders of magnitude.
- * finish(jobs) then replays each function's stream independently — on a
- * thread pool when jobs > 1 — producing a CfgSet bit-identical to
- * CfgBuilder's: the filter keeps the first occurrence of every
- * transition in order, so node ids still get assigned in first-use
- * order, and the replay's addEdge() dedups the occasional duplicate a
- * filter collision lets through.
- *
- * For in-memory traces, feedAll() additionally parallelizes the feed
- * itself by sharding the trace into contiguous record ranges. A cheap
- * serial structure pass (only Call/Ret records mutate call stacks)
- * computes each shard's starting stacks and pre-assigns synthetic
- * function ids in exact serial order; the shards then feed their ranges
- * concurrently. The one value a shard cannot know — the last pc its
- * starting top frame executed, which lives in the previous shard — is
- * emitted as a placeholder transition and patched serially afterwards,
- * at most one per (shard, thread). Because shards are contiguous record
- * ranges, concatenating their streams preserves global first-occurrence
- * order, so the output is still bit-identical to CfgBuilder's for every
- * jobs value.
- */
-class ParallelCfgBuilder
-{
-  public:
-    explicit ParallelCfgBuilder(const trace::SymbolTable &symtab);
-
-    /** Size the attribution array upfront when the trace length is known. */
-    void reserveRecords(size_t count);
-
-    /** Consume the next record (records must arrive in trace order). */
-    void feed(const trace::Record &record);
-
-    /**
-     * Consume an entire in-memory trace, sharding the feed over `jobs`
-     * threads (falls back to the serial feed() loop for small traces,
-     * jobs <= 1, or machines without the cores to make the extra
-     * structure-pass work pay off). Must be the only feeding call on
-     * this builder.
-     */
-    void feedAll(std::span<const trace::Record> records, int jobs);
-
-    /**
-     * Test hook: force feedAll to use exactly this many shards,
-     * bypassing the hardware-concurrency and trace-size heuristics so
-     * the sharded path can be exercised on any machine. 0 = disabled.
-     */
-    static size_t shardOverrideForTesting;
-
-    /** Replay transitions (jobs-wide) and return the result. */
-    CfgSet finish(int jobs);
-
-  private:
-    struct Frame
-    {
-        trace::FuncId func = trace::kNoFunc;
-        trace::Pc lastPc = trace::kNoPc; ///< kNoPc means "at entry".
-    };
-
-    /** One CFG-affecting event within a function. */
-    struct Transition
-    {
-        trace::Pc from = trace::kNoPc; ///< kNoPc means the virtual entry.
-        trace::Pc to = trace::kNoPc;
-        uint8_t flags = 0;
-    };
-
-    enum : uint8_t
-    {
-        kTransBranch = 1 << 0, ///< `to` executed a Branch record.
-        kTransRet = 1 << 1,    ///< `to` returns (edge to virtual exit).
-        kTransClose = 1 << 2,  ///< Frame left open at end of trace.
-    };
-
-    static constexpr size_t kFilterSlots = 4096;
-
-    /**
-     * Placeholder for a predecessor pc living in the previous shard;
-     * never a real pc (pcs are assigned densely from 1).
-     */
-    static constexpr trace::Pc kPatchPc = ~trace::Pc{0};
-
-    /** Below this many records, sharded feeding is not worth the setup. */
-    static constexpr size_t kMinShardRecords = size_t{1} << 15;
-
-    /** A function's transition stream plus its duplicate filter. */
-    struct FuncStream
-    {
-        std::vector<Transition> steps;
-        uint64_t filtered = 0; ///< Duplicate transitions dropped.
-
-        struct FilterEntry
-        {
-            trace::Pc from = 0;
-            trace::Pc to = 0;
-            uint8_t flags = 0;
-            uint8_t valid = 0;
-        };
-        std::vector<FilterEntry> filter; ///< Allocated on first emit.
-
-        void
-        emit(trace::Pc from, trace::Pc to, uint8_t flags)
-        {
-            if (filter.empty())
-                filter.resize(kFilterSlots);
-            const size_t slot = (from * 2654435761u ^ to) &
-                                (kFilterSlots - 1);
-            FilterEntry &e = filter[slot];
-            if (e.valid && e.from == from && e.to == to &&
-                e.flags == flags) {
-                ++filtered; // transition already recorded
-                return;
-            }
-            e = FilterEntry{from, to, flags, 1};
-            steps.push_back(Transition{from, to, flags});
-        }
-    };
-
-    /** Per-shard feeding state; defined in cfg.cc. */
-    struct Shard;
-
-    std::vector<Frame> &stackFor(trace::ThreadId tid);
-    Frame &topFrame(trace::ThreadId tid);
-    void touchFunc(trace::FuncId func);
-    trace::FuncId step(trace::ThreadId tid, trace::Pc pc, bool is_branch);
-    void runShard(Shard &shard, std::span<const trace::Record> records,
-                  size_t begin, size_t end);
-
-    const trace::SymbolTable &symtab_;
-    CfgSet out_;
-    std::vector<FuncStream> funcs_;     ///< Indexed by (dense) FuncId.
-    std::vector<uint8_t> touched_;      ///< Parallel to funcs_.
-    std::vector<trace::FuncId> funcOrder_; ///< First-touch order.
-    std::vector<std::vector<Frame>> threads_; ///< Indexed by ThreadId.
-    trace::FuncId nextSynthetic_;
-    bool finished_ = false;
-
-    // One-entry hot-path cache for the serial feed: traces run long
-    // same-thread stretches without calls or returns, so the top frame
-    // and its function's stream are the same record after record. The
-    // Frame pointer survives growth of threads_ itself (moving an inner
-    // vector does not move its heap buffer); any push/pop on the same
-    // thread's stack or growth of funcs_ goes through the slow path,
-    // which recomputes the cache.
-    trace::ThreadId cacheTid_ = 0;
-    Frame *cacheFrame_ = nullptr;
-    FuncStream *cacheStream_ = nullptr;
-};
-
-/**
  * Build per-function CFGs from an in-memory dynamic trace (the forward
  * pass).
  *
  * @param records  the dynamic trace
  * @param symtab   symbol table mapping call targets to functions
- * @param jobs     worker threads for per-function construction; 1 (the
- *                 default) uses the serial CfgBuilder path, <= 0 means
- *                 "all hardware threads". Output is identical either way.
+ * @param jobs     threads for the per-function replay (the feed itself is
+ *                 one loop); <= 0 means "all hardware threads", and larger
+ *                 values are capped there. Output is identical for every
+ *                 value.
  */
 CfgSet buildCfgs(std::span<const trace::Record> records,
                  const trace::SymbolTable &symtab, int jobs = 1);
@@ -328,6 +150,7 @@ CfgSet buildCfgs(std::span<const trace::Record> records,
 /**
  * Forward pass over a trace file, streamed in blocks: peak memory is the
  * CFGs plus one per-record function id, not the records themselves.
+ * Same builder and output as buildCfgs().
  */
 CfgSet buildCfgsFromFile(const std::string &path,
                          const trace::SymbolTable &symtab, int jobs = 1);

@@ -1,8 +1,12 @@
 #include "support/strings.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+
+#include "support/logging.hh"
 
 namespace webslice {
 
@@ -138,6 +142,23 @@ withCommas(uint64_t value)
         out.push_back(raw[i]);
     }
     return out;
+}
+
+uint64_t
+parseCount(const char *flag, const char *text, uint64_t max_value)
+{
+    fatal_if(text[0] == '\0', "empty value for ", flag);
+    fatal_if(text[0] == '-', "negative value for ", flag, ": '", text, "'");
+    // strtoull alone would also take leading blanks and a '+'.
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    fatal_if(!std::isdigit(static_cast<unsigned char>(text[0])) ||
+                 *end != '\0',
+             "non-numeric value for ", flag, ": '", text, "'");
+    fatal_if(errno == ERANGE || value > max_value, "value for ", flag,
+             " out of range: '", text, "' (max ", max_value, ")");
+    return value;
 }
 
 } // namespace webslice

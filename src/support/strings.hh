@@ -1,13 +1,15 @@
 /**
  * @file
  * String helpers shared across the library: splitting, prefix tests,
- * namespace extraction from C++-style mangled-readable symbol names, and
- * printf-style formatting into std::string.
+ * namespace extraction from C++-style mangled-readable symbol names,
+ * printf-style formatting into std::string, and the command-line tools'
+ * numeric flag parser.
  */
 
 #ifndef WEBSLICE_SUPPORT_STRINGS_HH
 #define WEBSLICE_SUPPORT_STRINGS_HH
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,6 +52,14 @@ std::string humanMillions(uint64_t count);
 
 /** Insert thousands separators ("1234567" -> "1,234,567"). */
 std::string withCommas(uint64_t value);
+
+/**
+ * Parse a command-line flag's value as a decimal integer in
+ * [0, max_value]. Anything else — empty, negative, non-numeric, trailing
+ * garbage, or out of range — is a usage error: it exits 1 with a message
+ * naming the flag.
+ */
+uint64_t parseCount(const char *flag, const char *text, uint64_t max_value);
 
 } // namespace webslice
 

@@ -1,5 +1,6 @@
 #include "support/thread_pool.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -210,9 +211,11 @@ ThreadPool::drain(TaskGroup &group)
 unsigned
 ThreadPool::resolveJobs(int jobs)
 {
-    if (jobs > 0)
-        return static_cast<unsigned>(jobs);
     const unsigned hw = std::thread::hardware_concurrency();
+    if (jobs > 0) {
+        const unsigned wanted = static_cast<unsigned>(jobs);
+        return hw ? std::min(wanted, hw) : wanted;
+    }
     return hw ? hw : 1;
 }
 

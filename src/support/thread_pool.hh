@@ -97,7 +97,9 @@ class ThreadPool
 
     /**
      * Translate a user-facing --jobs value into a thread count: values
-     * <= 0 mean "all hardware threads", anything else is taken as-is.
+     * <= 0 mean "all hardware threads", and positive values are capped
+     * at the hardware thread count when it is known (a pool wider than
+     * the machine only adds threads that wait).
      */
     static unsigned resolveJobs(int jobs);
 

@@ -2,30 +2,37 @@
  * @file
  * Tests for the profiler's parallel plumbing: the thread pool itself,
  * and — more importantly — the guarantee that every parallel path
- * (sharded trace feeding, per-function CFG replay, parallel control
- * dependences) produces output bit-identical to the serial baseline.
- * Parallelism that changes the slice is a correctness bug, not a
- * performance feature.
+ * (per-function CFG replay, parallel control dependences) produces
+ * output bit-identical to the serial baseline. Parallelism that changes
+ * the slice is a correctness bug, not a performance feature.
  *
- * The sharded feed normally engages only on multicore machines and
- * large traces; ParallelCfgBuilder::shardOverrideForTesting bypasses
- * those heuristics so the path is exercised everywhere, including
- * single-core CI runners.
+ * The forward pass is checked against the seed's CfgBuilder
+ * (tests/reference_cfg_builder.hh), node numbering included. Thread
+ * counts are capped at the hardware, so on a one-CPU host the jobs-2/4
+ * cases replay serially; multicore runners exercise the pool.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
+#include "reference_cfg_builder.hh"
+#include "scenario/generator.hh"
+#include "scenario/run.hh"
 #include "sim/machine.hh"
 #include "slicer/slicer.hh"
+#include "support/metrics.hh"
 #include "support/thread_pool.hh"
+#include "temp_dir.hh"
+#include "trace/trace_file.hh"
 
 namespace webslice {
 namespace {
@@ -82,8 +89,15 @@ TEST(ThreadPool, BodyExceptionsPropagateToCaller)
 
 TEST(ThreadPool, ResolveJobsSemantics)
 {
+    // Positive values are capped at the hardware (when it is known), so
+    // a large --jobs never builds a pool of that many threads. Only
+    // resolveJobs() runs here: no thread is started.
+    const unsigned hw = std::thread::hardware_concurrency();
+    const unsigned cap = hw ? hw : ~0u;
     EXPECT_EQ(ThreadPool::resolveJobs(1), 1u);
-    EXPECT_EQ(ThreadPool::resolveJobs(5), 5u);
+    EXPECT_EQ(ThreadPool::resolveJobs(5), std::min(5u, cap));
+    EXPECT_LE(ThreadPool::resolveJobs(1 << 16), cap);
+    EXPECT_GE(ThreadPool::resolveJobs(1 << 16), 1u);
     EXPECT_GE(ThreadPool::resolveJobs(0), 1u);  // "all hardware threads"
     EXPECT_GE(ThreadPool::resolveJobs(-3), 1u);
 }
@@ -220,52 +234,105 @@ makeProgram()
     return machine;
 }
 
-void
-expectSameCfgSet(const graph::CfgSet &a, const graph::CfgSet &b)
-{
-    EXPECT_EQ(a.funcOf, b.funcOf);
-    EXPECT_EQ(a.firstSynthetic, b.firstSynthetic);
-    EXPECT_EQ(a.syntheticNames, b.syntheticNames);
-    ASSERT_EQ(a.byFunc.size(), b.byFunc.size());
-    for (const auto &kv : a.byFunc) {
-        const auto it = b.byFunc.find(kv.first);
-        ASSERT_NE(it, b.byFunc.end()) << "missing function " << kv.first;
-        const graph::Cfg &ca = kv.second;
-        const graph::Cfg &cb = it->second;
-        // Full structural identity, including node numbering: the
-        // parallel feed promises bit-identical output, not isomorphism.
-        EXPECT_EQ(ca.nodePc, cb.nodePc);
-        EXPECT_EQ(ca.succs, cb.succs);
-        EXPECT_EQ(ca.preds, cb.preds);
-        EXPECT_EQ(ca.isBranch, cb.isBranch);
-    }
-}
-
 TEST(ParallelPipeline, ParallelCfgsMatchSerial)
 {
     Machine machine = makeProgram();
-    const auto serial = graph::buildCfgs(machine.records(),
-                                         machine.symtab(), 1);
-    for (const int jobs : {2, 4}) {
-        const auto parallel = graph::buildCfgs(machine.records(),
-                                               machine.symtab(), jobs);
-        expectSameCfgSet(serial, parallel);
+    const auto reference =
+        graph::reference::referenceCfgs(machine.records(), machine.symtab());
+    for (const int jobs : {1, 2, 4}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        graph::reference::expectSameCfgSet(
+            reference,
+            graph::buildCfgs(machine.records(), machine.symtab(), jobs));
     }
 }
 
-TEST(ParallelPipeline, ShardedFeedMatchesSerialForAnyShardCount)
+/**
+ * A generated browser scenario, in memory and from v1 and v2 files, at 1
+ * and 4 jobs. Unlike makeProgram's tiny trace, its functions outgrow the
+ * transition filter, so collisions let duplicate transitions through
+ * and the replay's addEdge() has to drop them.
+ */
+TEST(ParallelPipeline, BrowserTraceCfgsMatchReference)
 {
-    Machine machine = makeProgram();
-    const auto serial = graph::buildCfgs(machine.records(),
-                                         machine.symtab(), 1);
-    // Force the sharded feed on regardless of core count or trace size,
-    // including shard counts that leave some shards nearly empty.
-    for (const size_t shards : {2u, 3u, 5u, 16u}) {
-        graph::ParallelCfgBuilder::shardOverrideForTesting = shards;
-        const auto sharded = graph::buildCfgs(machine.records(),
-                                              machine.symtab(), 4);
-        graph::ParallelCfgBuilder::shardOverrideForTesting = 0;
-        expectSameCfgSet(serial, sharded);
+    scenario::Knobs knobs;
+    knobs.domDepth = scenario::Level::Lo;
+    knobs.cssVolume = scenario::Level::Lo;
+    knobs.jsHotness = scenario::Level::Lo;
+    knobs.images = scenario::Level::Lo;
+    const auto run =
+        scenario::runScenario(scenario::generateScenario(3, knobs));
+    const trace::SymbolTable &symtab = run.machine->symtab();
+    const auto reference =
+        graph::reference::referenceCfgs(run.records(), symtab);
+
+    const std::string v1 = tempPath("browser_v1.trc");
+    const std::string v2 = tempPath("browser_v2.trc");
+    trace::saveTrace(v1, run.records(), trace::TraceFormat::V1);
+    trace::saveTrace(v2, run.records(), trace::TraceFormat::V2);
+
+    auto &replayed =
+        MetricRegistry::global().counter("cfg.transitions_replayed");
+    for (const int jobs : {1, 4}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        {
+            SCOPED_TRACE("in memory");
+            const uint64_t before = replayed.value();
+            const auto cfgs = graph::buildCfgs(run.records(), symtab, jobs);
+            graph::reference::expectSameCfgSet(reference, cfgs);
+            // More transitions replayed than distinct edges: some
+            // transition reached addEdge() twice.
+            size_t edges = 0;
+            for (const auto &kv : cfgs.byFunc) {
+                for (const auto &out : kv.second.succs)
+                    edges += out.size();
+            }
+            EXPECT_GT(replayed.value() - before, edges);
+        }
+        for (const std::string &path : {v1, v2}) {
+            SCOPED_TRACE(path);
+            graph::reference::expectSameCfgSet(
+                reference, graph::buildCfgsFromFile(path, symtab, jobs));
+        }
+    }
+}
+
+/**
+ * One function left open on three threads when the trace ends. Frames
+ * are closed in thread-id order at every jobs value, so the exit node's
+ * predecessors come out the same way each time. The reference
+ * CfgBuilder closes them in hash-map order, so this case is pinned
+ * across jobs values instead of against it; nothing downstream reads
+ * that order.
+ */
+TEST(ParallelPipeline, OpenFramesCloseInThreadOrderAtEveryJobs)
+{
+    trace::SymbolTable symtab;
+    const trace::FuncId f = symtab.addFunction(1000, "par::open");
+    std::vector<trace::Record> records;
+    for (const trace::ThreadId tid : {0, 1, 2}) {
+        const auto add = [&](trace::RecordKind kind, trace::Pc pc) {
+            trace::Record rec;
+            rec.tid = tid;
+            rec.kind = kind;
+            rec.pc = pc;
+            rec.addr = kind == trace::RecordKind::Call ? 1000 : 0;
+            records.push_back(rec);
+        };
+        add(trace::RecordKind::Call, 10 + tid);
+        add(trace::RecordKind::Alu, 1000);
+        add(trace::RecordKind::Alu, 1001 + tid);
+    }
+    const auto serial = graph::buildCfgs(records, symtab, 1);
+    const graph::Cfg &cfg = serial.byFunc.at(f);
+    std::vector<trace::Pc> exit_preds;
+    for (const graph::NodeId node : cfg.preds[graph::Cfg::kExit])
+        exit_preds.push_back(cfg.nodePc[node]);
+    EXPECT_EQ(exit_preds, (std::vector<trace::Pc>{1001, 1002, 1003}));
+    for (const int jobs : {2, 4}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        graph::reference::expectSameCfgSet(
+            serial, graph::buildCfgs(records, symtab, jobs));
     }
 }
 
@@ -302,11 +369,8 @@ TEST(ParallelPipeline, SliceIdenticalAcrossJobs)
         machine.records(), ref_cfgs, ref_deps, machine.pixelCriteria());
 
     for (const int jobs : {1, 2, 4}) {
-        graph::ParallelCfgBuilder::shardOverrideForTesting =
-            jobs > 1 ? static_cast<size_t>(jobs) : 0;
         const auto cfgs = graph::buildCfgs(machine.records(),
                                            machine.symtab(), jobs);
-        graph::ParallelCfgBuilder::shardOverrideForTesting = 0;
         const auto deps = graph::buildControlDeps(cfgs, jobs);
         slicer::SlicerOptions options;
         options.jobs = jobs;

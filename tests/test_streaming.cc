@@ -13,6 +13,7 @@
 
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
+#include "reference_cfg_builder.hh"
 #include "sim/machine.hh"
 #include "slicer/slicer.hh"
 #include "trace/trace_file.hh"
@@ -77,18 +78,19 @@ struct SavedProgram
 TEST(Streaming, FileCfgsMatchInMemoryCfgs)
 {
     SavedProgram program;
-    const auto memory_cfgs = graph::buildCfgs(
+    const auto reference = graph::reference::referenceCfgs(
         program.machine.records(), program.machine.symtab());
-    const auto file_cfgs = graph::buildCfgsFromFile(
-        program.path, program.machine.symtab());
-
-    EXPECT_EQ(memory_cfgs.funcOf, file_cfgs.funcOf);
-    EXPECT_EQ(memory_cfgs.byFunc.size(), file_cfgs.byFunc.size());
-    for (const auto &kv : memory_cfgs.byFunc) {
-        const auto it = file_cfgs.byFunc.find(kv.first);
-        ASSERT_NE(it, file_cfgs.byFunc.end());
-        EXPECT_EQ(kv.second.nodeCount(), it->second.nodeCount());
-        EXPECT_EQ(kv.second.succs, it->second.succs);
+    {
+        SCOPED_TRACE("in memory");
+        graph::reference::expectSameCfgSet(
+            reference, graph::buildCfgs(program.machine.records(),
+                                        program.machine.symtab()));
+    }
+    {
+        SCOPED_TRACE("from file");
+        graph::reference::expectSameCfgSet(
+            reference, graph::buildCfgsFromFile(program.path,
+                                                program.machine.symtab()));
     }
 }
 

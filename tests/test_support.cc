@@ -86,6 +86,36 @@ TEST(Strings, HumanMillionsAndCommas)
     EXPECT_EQ(humanMillions(500000ull), "500 K");
 }
 
+TEST(Strings, ParseCountAcceptsDecimalUpToMax)
+{
+    EXPECT_EQ(parseCount("--jobs", "0", 10), 0u);
+    EXPECT_EQ(parseCount("--jobs", "10", 10), 10u);
+    EXPECT_EQ(parseCount("--seed", "007", 100), 7u);
+    EXPECT_EQ(parseCount("--seed", "18446744073709551615", UINT64_MAX),
+              UINT64_MAX);
+}
+
+TEST(StringsDeathTest, ParseCountRejectsEverythingElse)
+{
+    // Every rejection exits 1 with a message naming the flag.
+    const auto rejects = [](const char *text, uint64_t max_value,
+                            const char *message) {
+        EXPECT_EXIT(parseCount("--seed", text, max_value),
+                    ::testing::ExitedWithCode(1), message)
+            << "'" << text << "'";
+    };
+    rejects("", 10, "empty value for --seed");
+    rejects("-1", 10, "negative value for --seed");
+    rejects("abc", 10, "non-numeric value for --seed");
+    rejects(" 5", 10, "non-numeric value for --seed");
+    rejects("+5", 10, "non-numeric value for --seed");
+    rejects("0x10", 100, "non-numeric value for --seed");
+    rejects("12abc", 100, "non-numeric value for --seed");
+    rejects("11", 10, "value for --seed out of range");
+    rejects("18446744073709551616", UINT64_MAX,  // ERANGE
+            "value for --seed out of range");
+}
+
 // ---- sparse byte set -------------------------------------------------------
 //
 // tests/test_trace_properties.cc checks the set against a std::set model

@@ -34,9 +34,7 @@
  * --metrics-json writes the machine-readable webslice-check-v1 report.
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iomanip>
 #include <optional>
@@ -72,33 +70,15 @@ constexpr char kUsage[] =
     "                        the pixel-buffer slice\n"
     "  --no-window           ignore the metadata load-complete window\n"
     "  --end N               analyze records [0, N) regardless of metadata\n"
-    "  --jobs N              forward-pass worker threads; 0 = all cores\n"
+    "  --jobs N              threads for the per-function CFG replay and\n"
+    "                        control dependences, capped at the hardware;\n"
+    "                        0 = all cores (default 1)\n"
     "  --probes N            drop-one minimality probes (default 2)\n"
     "  --fail-on-race        exit nonzero when data races are detected\n"
     "  --cdg FILE            audit this control-dependence map instead of\n"
     "                        recomputing one\n"
     "  --dump-cdg FILE       save the computed control-dependence map\n"
     "  --metrics-json FILE   write the webslice-check-v1 report\n";
-
-/**
- * Parse a non-negative decimal integer flag value; anything else — empty,
- * negative, non-numeric, trailing garbage, or out of range — is a usage
- * error that exits 1.
- */
-uint64_t
-parseCount(const char *flag, const char *text, uint64_t max_value)
-{
-    fatal_if(text[0] == '\0', "empty value for ", flag);
-    fatal_if(text[0] == '-', "negative value for ", flag, ": '", text, "'");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    fatal_if(end == text || *end != '\0', "non-numeric value for ", flag,
-             ": '", text, "'");
-    fatal_if(errno == ERANGE || value > max_value, "value for ", flag,
-             " out of range: '", text, "' (max ", max_value, ")");
-    return value;
-}
 
 std::string
 findingsJson(const check::Findings &findings)

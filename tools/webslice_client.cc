@@ -267,7 +267,8 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[a], "--tcp")) {
             if (a + 1 >= argc)
                 return usageError(argv[0], "--tcp requires a value");
-            tcp_port = std::atoi(argv[++a]);
+            tcp_port = static_cast<int>(
+                parseCount("--tcp", argv[++a], 65535));
         } else if (!std::strcmp(argv[a], "--fleet")) {
             if (a + 1 >= argc)
                 return usageError(argv[0], "--fleet requires a value");
@@ -409,7 +410,7 @@ main(int argc, char **argv)
             if (a + 1 >= argc)
                 return usageError(argv[0],
                                   "--timeout-ms requires a value");
-            timeout_ms = std::strtoull(argv[++a], nullptr, 10);
+            timeout_ms = parseCount("--timeout-ms", argv[++a], UINT64_MAX);
         } else if (!std::strcmp(argv[a], "--metrics-json")) {
             if (a + 1 >= argc)
                 return usageError(argv[0],

@@ -13,9 +13,10 @@
  *
  * --jobs N parallelizes the forward pass's per-function work (CFG node
  * and edge construction, postdominators, control dependences) over N
- * threads; 0 means all hardware threads. Results are identical for any
- * value. The attribution arrays at the end use a zero-copy mmap view of
- * the trace instead of a second in-memory copy.
+ * threads, capped at the hardware; 0 means all hardware threads. The
+ * trace feed itself is one loop. Results are identical for any value.
+ * The attribution arrays at the end use a zero-copy mmap view of the
+ * trace instead of a second in-memory copy.
  *
  * --metrics-json FILE writes the machine-readable run report (schema
  * webslice-metrics-v1): phase spans with wall time and peak RSS,
@@ -28,9 +29,7 @@
  * arguments are rejected with a diagnostic and exit code 1.
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -67,7 +66,9 @@ constexpr char kUsage[] =
     "                        buffers\n"
     "  --no-window           ignore the metadata load-complete window\n"
     "  --top N               show the N hottest functions (default 12)\n"
-    "  --jobs N              forward-pass worker threads; 0 = all cores\n"
+    "  --jobs N              threads for the per-function CFG replay and\n"
+    "                        control dependences, capped at the hardware;\n"
+    "                        0 = all cores (default 1)\n"
     "  --metrics-json FILE   write the machine-readable run report\n"
     "                        (FILE of '-' writes it to stdout and moves\n"
     "                        the human-readable report to stderr)\n"
@@ -79,26 +80,6 @@ constexpr char kUsage[] =
     "                        same window, assert dynamic ⊆ static, and\n"
     "                        print the static-vs-dynamic contrast; exit 2\n"
     "                        on a containment violation\n";
-
-/**
- * Parse a non-negative decimal integer flag value; anything else — empty,
- * negative, non-numeric, trailing garbage, or out of range — is a usage
- * error that exits 1.
- */
-uint64_t
-parseCount(const char *flag, const char *text, uint64_t max_value)
-{
-    fatal_if(text[0] == '\0', "empty value for ", flag);
-    fatal_if(text[0] == '-', "negative value for ", flag, ": '", text, "'");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    fatal_if(end == text || *end != '\0', "non-numeric value for ", flag,
-             ": '", text, "'");
-    fatal_if(errno == ERANGE || value > max_value, "value for ", flag,
-             " out of range: '", text, "' (max ", max_value, ")");
-    return value;
-}
 
 void
 phaseNotice(bool progress, const char *phase)

@@ -196,7 +196,7 @@ main(int argc, char **argv)
         for (int a = 2; a < argc; ++a) {
             const std::string arg = argv[a];
             if (arg == "--seed" && a + 1 < argc) {
-                seed = std::strtoull(argv[++a], nullptr, 0);
+                seed = parseCount("--seed", argv[++a], UINT64_MAX);
                 have_seed = true;
             } else if (arg == "--builtin" && a + 1 < argc) {
                 builtin_id = argv[++a];
@@ -276,9 +276,10 @@ main(int argc, char **argv)
                 const size_t dots = range.find("..");
                 fatal_if(dots == std::string::npos,
                          "--seeds needs A..B, got '", range, "'");
-                seed_lo = std::strtoull(range.c_str(), nullptr, 0);
-                seed_hi = std::strtoull(range.c_str() + dots + 2,
-                                        nullptr, 0);
+                seed_lo = parseCount(
+                    "--seeds", range.substr(0, dots).c_str(), UINT64_MAX);
+                seed_hi = parseCount("--seeds", range.c_str() + dots + 2,
+                                     UINT64_MAX);
                 fatal_if(seed_hi < seed_lo, "--seeds range '", range,
                          "' is empty");
             } else if (arg == "--knob" && a + 1 < argc) {

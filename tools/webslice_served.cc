@@ -52,8 +52,9 @@ constexpr char kUsage[] =
     "  --queue N             in-flight request ceiling before submissions\n"
     "                        are rejected (default 64)\n"
     "  --cache-bytes N       session-cache byte budget (default 2 GiB)\n"
-    "  --forward-jobs N      threads for a session's forward pass;\n"
-    "                        0 = all cores (default)\n"
+    "  --forward-jobs N      threads for a session's per-function CFG\n"
+    "                        replay and control dependences, capped at\n"
+    "                        the hardware; 0 = all cores (default)\n"
     "  --preload PREFIX      build this recording's session before\n"
     "                        accepting connections (repeatable)\n"
     "  --metrics-json FILE   write the run report at exit ('-' = stdout)\n"
@@ -61,21 +62,6 @@ constexpr char kUsage[] =
     "                        status frame (default: none, fields omitted)\n"
     "  --shard-epoch N       shard generation, bumped by the supervisor\n"
     "                        on each restart (default 1)\n";
-
-uint64_t
-parseCount(const char *flag, const char *text, uint64_t max_value)
-{
-    fatal_if(text[0] == '\0', "empty value for ", flag);
-    fatal_if(text[0] == '-', "negative value for ", flag, ": '", text, "'");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    fatal_if(end == text || *end != '\0', "non-numeric value for ", flag,
-             ": '", text, "'");
-    fatal_if(errno == ERANGE || value > max_value, "value for ", flag,
-             " out of range: '", text, "' (max ", max_value, ")");
-    return value;
-}
 
 // The signal handler may only do async-signal-safe work; writing one
 // byte to the server's shutdown pipe is exactly that.

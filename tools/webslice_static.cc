@@ -26,9 +26,7 @@
  * containment sections, and the contrast breakdown.
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -63,29 +61,15 @@ constexpr char kUsage[] =
     "  --no-window           ignore the metadata load-complete window\n"
     "  --end N               analyze only records [0, N) (after the\n"
     "                        window clamp)\n"
-    "  --jobs N              forward-pass worker threads; 0 = all cores\n"
+    "  --jobs N              threads for the per-function CFG replay and\n"
+    "                        control dependences, capped at the hardware;\n"
+    "                        0 = all cores (default 1)\n"
     "  --dump-pdg FILE       write the static PDG node table\n"
     "  --metrics-json FILE   write the machine-readable run report\n"
     "                        (schema webslice-static-v1; FILE of '-'\n"
     "                        writes it to stdout and moves the\n"
     "                        human-readable report to stderr)\n"
     "  --progress            phase notices on stderr\n";
-
-/** Parse a non-negative decimal integer flag value (exit 1 otherwise). */
-uint64_t
-parseCount(const char *flag, const char *text, uint64_t max_value)
-{
-    fatal_if(text[0] == '\0', "empty value for ", flag);
-    fatal_if(text[0] == '-', "negative value for ", flag, ": '", text, "'");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    fatal_if(end == text || *end != '\0', "non-numeric value for ", flag,
-             ": '", text, "'");
-    fatal_if(errno == ERANGE || value > max_value, "value for ", flag,
-             " out of range: '", text, "' (max ", max_value, ")");
-    return value;
-}
 
 void
 phaseNotice(bool progress, const char *phase)
