@@ -1,7 +1,11 @@
 #include "analysis/report.hh"
 
+#include <iomanip>
+#include <sstream>
+
 #include "analysis/function_stats.hh"
 #include "analysis/thread_stats.hh"
+#include "support/metrics.hh"
 #include "support/strings.hh"
 #include "support/table.hh"
 
@@ -52,6 +56,37 @@ renderContrast(std::ostream &os, const ContrastBreakdown &contrast)
                      withCommas(split.removable).c_str(),
                      withCommas(split.dynamicOnly).c_str());
     }
+}
+
+std::string
+sliceStatsJson(const slicer::SliceResult &slice, const std::string &benchmark,
+               slicer::CriteriaMode mode)
+{
+    std::ostringstream out;
+    out << "{\n"
+        << "    \"benchmark\": \"" << jsonEscape(benchmark) << "\",\n"
+        << "    \"criteria\": \""
+        << (mode == slicer::CriteriaMode::PixelBuffer ? "pixel-buffer"
+                                                      : "syscalls")
+        << "\",\n"
+        << "    \"records_fed\": " << slice.recordsFed << ",\n"
+        << "    \"instructions_analyzed\": " << slice.instructionsAnalyzed
+        << ",\n"
+        << "    \"slice_instructions\": " << slice.sliceInstructions
+        << ",\n"
+        << "    \"slice_percent\": " << std::fixed << std::setprecision(4)
+        << slice.slicePercent() << ",\n"
+        << "    \"criteria_bytes_seeded\": " << slice.criteriaBytesSeeded
+        << ",\n"
+        << "    \"peak_live_mem_bytes\": " << slice.peakLiveMemBytes
+        << ",\n"
+        << "    \"peak_pending_branches\": " << slice.peakPendingBranches
+        << ",\n"
+        << "    \"in_slice_fnv1a\": \"0x" << std::hex << std::setw(16)
+        << std::setfill('0')
+        << fnv1a64(slice.inSlice.data(), slice.inSlice.size()) << std::dec
+        << std::setfill(' ') << "\"\n  }";
+    return out.str();
 }
 
 void

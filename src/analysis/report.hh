@@ -49,9 +49,19 @@ struct ReportOptions
 
 /**
  * Render just the static-vs-dynamic contrast section (shared between
- * renderReport, webslice-profile --static-compare, and webslice-static).
+ * renderReport and webslice-static).
  */
 void renderContrast(std::ostream &os, const ContrastBreakdown &contrast);
+
+/**
+ * The `slice` section of the tools' JSON reports (webslice-profile and
+ * webslice-static), as raw JSON: benchmark name, criteria mode, the
+ * slice's counters, and `in_slice_fnv1a`, the FNV-1a-64 digest of the
+ * per-record verdict bytes.
+ */
+std::string sliceStatsJson(const slicer::SliceResult &slice,
+                           const std::string &benchmark,
+                           slicer::CriteriaMode mode);
 
 /**
  * Render the full analysis of one sliced trace to `os`: headline slice

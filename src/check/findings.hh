@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/metrics.hh"
+
 namespace webslice {
 namespace check {
 
@@ -36,6 +38,18 @@ struct Findings
 
     bool ok() const { return total == 0; }
 };
+
+/** The findings array of the tools' JSON reports, as raw JSON:
+ *  {"total": N, "messages": ["...", ...]}. */
+inline std::string
+findingsJson(const Findings &findings)
+{
+    std::string out = "{\"total\": " + std::to_string(findings.total) +
+                      ", \"messages\": [";
+    for (size_t i = 0; i < findings.messages.size(); ++i)
+        out += (i ? ", \"" : "\"") + jsonEscape(findings.messages[i]) + '"';
+    return out + "]}";
+}
 
 } // namespace check
 } // namespace webslice

@@ -3,10 +3,10 @@
  * Client side of the webslice-serve-v1 protocol.
  *
  * A thin, blocking connection wrapper used by tools/webslice-client,
- * the service tests, and bench/service_throughput. All failures are
- * reported through return values + error strings (never fatal): the
- * callers decide whether a refused connection is a retry, a test
- * failure, or a dead daemon.
+ * the service tests, and perfbench's serve-mixed workload. All
+ * failures are reported through return values + error strings (never
+ * fatal): the callers decide whether a refused connection is a retry,
+ * a test failure, or a dead daemon.
  */
 
 #ifndef WEBSLICE_SERVICE_CLIENT_HH

@@ -144,13 +144,8 @@ struct SessionCache::TraceHandle
 size_t
 Session::windowEnd(bool no_window, uint64_t end_override) const
 {
-    size_t end = trace->records().size();
-    const trace::RunMeta &meta = sidecars.meta;
-    if (!no_window && meta.loadOnly && meta.loadCompleteIndex != SIZE_MAX)
-        end = std::min(end, meta.loadCompleteIndex);
-    if (end_override != UINT64_MAX)
-        end = std::min<size_t>(end, end_override);
-    return end;
+    return sidecars.meta.windowEnd(trace->records().size(), !no_window,
+                                   end_override);
 }
 
 SessionCache::SessionCache(uint64_t byte_budget, int forward_jobs)

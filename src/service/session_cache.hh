@@ -80,9 +80,8 @@ struct Session
     uint64_t approxBytes = 0;
 
     /**
-     * Analysis window for a query: the record count, capped by the
-     * metadata load-complete index (unless no_window) and by an
-     * explicit end_index override — the same derivation the CLIs use.
+     * Analysis window for a query: RunMeta::windowEnd over this trace,
+     * the same rule the CLIs use.
      */
     size_t windowEnd(bool no_window, uint64_t end_override) const;
 };

@@ -19,8 +19,7 @@
  * MetricRegistry::global() is the process-wide instance every layer
  * publishes into; local instances exist for tests. metricsReportJson()
  * renders a registry (plus tool-specific extra sections) into the
- * machine-readable run report behind `webslice-profile --metrics-json`
- * and bench/pipeline_scaling's BENCH_profiler.json.
+ * machine-readable run report behind every tool's `--metrics-json`.
  */
 
 #ifndef WEBSLICE_SUPPORT_METRICS_HH

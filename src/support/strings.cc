@@ -144,20 +144,42 @@ withCommas(uint64_t value)
     return out;
 }
 
-uint64_t
-parseCount(const char *flag, const char *text, uint64_t max_value)
+bool
+tryParseCount(const char *what, const char *text, uint64_t max_value,
+              uint64_t &value, std::string &error)
 {
-    fatal_if(text[0] == '\0', "empty value for ", flag);
-    fatal_if(text[0] == '-', "negative value for ", flag, ": '", text, "'");
+    if (text[0] == '\0') {
+        error = format("empty value for %s", what);
+        return false;
+    }
+    if (text[0] == '-') {
+        error = format("negative value for %s: '%s'", what, text);
+        return false;
+    }
     // strtoull alone would also take leading blanks and a '+'.
     errno = 0;
     char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    fatal_if(!std::isdigit(static_cast<unsigned char>(text[0])) ||
-                 *end != '\0',
-             "non-numeric value for ", flag, ": '", text, "'");
-    fatal_if(errno == ERANGE || value > max_value, "value for ", flag,
-             " out of range: '", text, "' (max ", max_value, ")");
+    const unsigned long long parsed = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0') {
+        error = format("non-numeric value for %s: '%s'", what, text);
+        return false;
+    }
+    if (errno == ERANGE || parsed > max_value) {
+        error = format("value for %s out of range: '%s' (max %llu)", what,
+                       text, static_cast<unsigned long long>(max_value));
+        return false;
+    }
+    value = parsed;
+    return true;
+}
+
+uint64_t
+parseCount(const char *flag, const char *text, uint64_t max_value)
+{
+    uint64_t value = 0;
+    std::string error;
+    if (!tryParseCount(flag, text, max_value, value, error))
+        fatal(error);
     return value;
 }
 

@@ -54,10 +54,17 @@ std::string humanMillions(uint64_t count);
 std::string withCommas(uint64_t value);
 
 /**
- * Parse a command-line flag's value as a decimal integer in
- * [0, max_value]. Anything else — empty, negative, non-numeric, trailing
- * garbage, or out of range — is a usage error: it exits 1 with a message
- * naming the flag.
+ * Parse `text` as a decimal integer in [0, max_value] into `value`.
+ * Anything else (empty, negative, a leading blank or '+', non-numeric,
+ * trailing garbage, or out of range) returns false, leaves `value`
+ * alone, and sets `error` to a message naming `what`.
+ */
+bool tryParseCount(const char *what, const char *text, uint64_t max_value,
+                   uint64_t &value, std::string &error);
+
+/**
+ * tryParseCount for a command-line flag's value, where a rejection is a
+ * usage error: it exits 1 with the message naming the flag.
  */
 uint64_t parseCount(const char *flag, const char *text, uint64_t max_value);
 

@@ -736,6 +736,38 @@ TEST(RunMeta, ParsesAllKeys)
     EXPECT_EQ(meta.threadNames[2], "raster");
 }
 
+TEST(RunMeta, WindowEndOneRuleForEveryTool)
+{
+    // No .meta: the whole trace, capped only by an explicit end.
+    const trace::RunMeta none;
+    EXPECT_EQ(none.windowEnd(100, true, SIZE_MAX), 100u);
+    EXPECT_EQ(none.windowEnd(100, true, 40), 40u);
+
+    // Load-only: stops at the load-complete index unless the window is
+    // off; an end cap below the window narrows it, one above does not.
+    trace::RunMeta load;
+    load.loadOnly = true;
+    load.loadCompleteIndex = 60;
+    EXPECT_EQ(load.windowEnd(100, true, SIZE_MAX), 60u);
+    EXPECT_EQ(load.windowEnd(100, false, SIZE_MAX), 100u);
+    EXPECT_EQ(load.windowEnd(100, true, 40), 40u);
+    EXPECT_EQ(load.windowEnd(100, true, 80), 60u);
+    EXPECT_EQ(load.windowEnd(100, false, 80), 80u);
+    EXPECT_EQ(load.windowEnd(50, true, SIZE_MAX), 50u);
+
+    // Browse: a load-complete index without loadOnly never narrows.
+    trace::RunMeta browse;
+    browse.loadCompleteIndex = 60;
+    EXPECT_EQ(browse.windowEnd(100, true, SIZE_MAX), 100u);
+    EXPECT_EQ(browse.windowEnd(100, true, 40), 40u);
+    EXPECT_EQ(browse.windowEnd(100, true, 200), 100u);
+
+    // Load-only without a recorded index: the whole trace.
+    trace::RunMeta unknown;
+    unknown.loadOnly = true;
+    EXPECT_EQ(unknown.windowEnd(100, true, SIZE_MAX), 100u);
+}
+
 TEST(RunMeta, UnknownKeyFatal)
 {
     const std::string path = tempPath("bad.meta");

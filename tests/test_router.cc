@@ -308,6 +308,101 @@ TEST(FleetClient, RoutesByDigestAndAgreesAcrossClients)
     EXPECT_EQ(one.stats().duplicates, 0u);
 }
 
+TEST(FleetClient, ManyClientsOnAHealthyFleet)
+{
+    // Four recordings over two shards, eight clients at once, each with
+    // its own FleetClient sending single-query batches. A healthy fleet
+    // answers every query on the recording's primary, bit-identical to
+    // the direct slicer, with no failover and no duplicate.
+    constexpr size_t kPrograms = 4, kClients = 8, kQueries = 4;
+    std::vector<std::unique_ptr<SavedProgram>> programs;
+    for (size_t p = 0; p < kPrograms; ++p)
+        programs.push_back(std::make_unique<SavedProgram>(
+            format("fleet_many_%zu", p), /*salt=*/40 + p));
+    TwoShardFleet fleet("fleet_many");
+
+    // Client c asks recording c % kPrograms; every window is distinct,
+    // so no two queries dedup into one job or one memo entry.
+    const auto window = [](size_t client, size_t q) {
+        return 20 + client * kQueries + q;
+    };
+    std::vector<std::string> primary(kPrograms);
+    std::vector<std::vector<uint64_t>> oracle(kClients);
+    {
+        FleetClient routing(fleet.endpoints);
+        for (size_t p = 0; p < kPrograms; ++p) {
+            ASSERT_GT(programs[p]->machine.records().size(),
+                      window(kClients - 1, kQueries - 1));
+            const auto owners = routing.ownersFor(programs[p]->prefix);
+            ASSERT_EQ(owners.size(), 2u);
+            primary[p] =
+                owners[0] == fleet.endpoints[0] ? "shard-0" : "shard-1";
+        }
+    }
+    for (size_t c = 0; c < kClients; ++c) {
+        for (size_t q = 0; q < kQueries; ++q) {
+            slicer::SlicerOptions options;
+            options.endIndex = window(c, q);
+            const auto slice =
+                programs[c % kPrograms]->directSlice(options);
+            oracle[c].push_back(
+                fnv1a64(slice.inSlice.data(), slice.inSlice.size()));
+        }
+    }
+
+    struct ClientRun
+    {
+        std::vector<QueryResult> results;
+        std::string error;
+        FleetClient::Stats stats;
+    };
+    std::vector<ClientRun> runs(kClients);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            FleetClient client(fleet.endpoints);
+            for (size_t q = 0; q < kQueries; ++q) {
+                SliceQuery query;
+                query.endIndex = window(c, q);
+                ServiceClient::BatchOutcome outcome;
+                if (!client.batch(programs[c % kPrograms]->prefix, {query},
+                                  outcome, runs[c].error))
+                    break;
+                runs[c].results.insert(runs[c].results.end(),
+                                       outcome.results.begin(),
+                                       outcome.results.end());
+            }
+            runs[c].stats = client.stats();
+        });
+    }
+    for (auto &client : clients)
+        client.join();
+
+    uint64_t failovers = 0, duplicates = 0;
+    for (size_t c = 0; c < kClients; ++c) {
+        ASSERT_EQ(runs[c].results.size(), kQueries)
+            << "client " << c << ": " << runs[c].error;
+        for (size_t q = 0; q < kQueries; ++q) {
+            const QueryResult &result = runs[c].results[q];
+            EXPECT_EQ(result.status, QueryResult::Status::Ok)
+                << "client " << c << " query " << q << ": "
+                << result.error;
+            EXPECT_EQ(result.inSliceFnv1a, oracle[c][q])
+                << "client " << c << " query " << q;
+            EXPECT_EQ(result.shard, primary[c % kPrograms])
+                << "client " << c << " query " << q;
+        }
+        failovers += runs[c].stats.failovers;
+        duplicates += runs[c].stats.duplicates;
+    }
+    EXPECT_EQ(failovers, 0u);
+    EXPECT_EQ(duplicates, 0u);
+    // Sessions outlive a batch: repeat visits to a recording are hits.
+    EXPECT_GT(fleet.shard[0]->cache().stats().hits +
+                  fleet.shard[1]->cache().stats().hits,
+              0u);
+}
+
 TEST(FleetClient, ShardDeathMidBatchLosesAndDuplicatesNothing)
 {
     const SavedProgram program("fleet_kill", /*salt=*/32);

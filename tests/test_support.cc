@@ -116,6 +116,38 @@ TEST(StringsDeathTest, ParseCountRejectsEverythingElse)
             "value for --seed out of range");
 }
 
+TEST(Strings, TryParseCountReportsWhatParseCountExitsOn)
+{
+    uint64_t value = 42;
+    std::string error;
+    EXPECT_TRUE(tryParseCount("end=", "007", 100, value, error));
+    EXPECT_EQ(value, 7u);
+    EXPECT_TRUE(error.empty());
+
+    // The inputs ParseCountRejectsEverythingElse exits on: false, the
+    // same message, and the value left alone.
+    const auto rejects = [](const char *text, uint64_t max_value,
+                            const char *message) {
+        uint64_t untouched = 42;
+        std::string why;
+        EXPECT_FALSE(tryParseCount("end=", text, max_value, untouched, why))
+            << "'" << text << "'";
+        EXPECT_NE(why.find(message), std::string::npos)
+            << "'" << text << "': " << why;
+        EXPECT_EQ(untouched, 42u) << "'" << text << "'";
+    };
+    rejects("", 10, "empty value for end=");
+    rejects("-1", 10, "negative value for end=");
+    rejects("abc", 10, "non-numeric value for end=");
+    rejects(" 5", 10, "non-numeric value for end=");
+    rejects("+5", 10, "non-numeric value for end=");
+    rejects("0x10", 100, "non-numeric value for end=");
+    rejects("12abc", 100, "non-numeric value for end=");
+    rejects("11", 10, "value for end= out of range");
+    rejects("18446744073709551616", UINT64_MAX,  // ERANGE
+            "value for end= out of range");
+}
+
 // ---- sparse byte set -------------------------------------------------------
 //
 // tests/test_trace_properties.cc checks the set against a std::set model

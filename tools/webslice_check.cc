@@ -36,7 +36,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <iomanip>
 #include <optional>
 #include <sstream>
 
@@ -81,20 +80,6 @@ constexpr char kUsage[] =
     "  --metrics-json FILE   write the webslice-check-v1 report\n";
 
 std::string
-findingsJson(const check::Findings &findings)
-{
-    std::ostringstream out;
-    out << "{\"total\": " << findings.total << ", \"messages\": [";
-    for (size_t i = 0; i < findings.messages.size(); ++i) {
-        if (i)
-            out << ", ";
-        out << "\"" << jsonEscape(findings.messages[i]) << "\"";
-    }
-    out << "]}";
-    return out.str();
-}
-
-std::string
 graphLintJson(const check::GraphLintResult &lint)
 {
     std::ostringstream out;
@@ -110,7 +95,8 @@ graphLintJson(const check::GraphLintResult &lint)
         << "    \"postdom_skipped_cfgs\": " << lint.postdomSkippedCfgs
         << ",\n"
         << "    \"dep_pairs_checked\": " << lint.depPairsChecked << ",\n"
-        << "    \"findings\": " << findingsJson(lint.findings) << "\n  }";
+        << "    \"findings\": " << check::findingsJson(lint.findings)
+        << "\n  }";
     return out.str();
 }
 
@@ -132,7 +118,8 @@ soundnessJson(const check::SoundnessResult &sound, bool had_values)
         << ",\n"
         << "    \"probes_run\": " << sound.probesRun << ",\n"
         << "    \"probes_confirmed\": " << sound.probesConfirmed << ",\n"
-        << "    \"findings\": " << findingsJson(sound.findings) << "\n  }";
+        << "    \"findings\": " << check::findingsJson(sound.findings)
+        << "\n  }";
     return out.str();
 }
 
@@ -155,7 +142,8 @@ racesJson(const check::RaceResult &races)
         out << "\"" << jsonEscape(races.samples[i]) << "\"";
     }
     out << "],\n"
-        << "    \"findings\": " << findingsJson(races.findings) << "\n  }";
+        << "    \"findings\": " << check::findingsJson(races.findings)
+        << "\n  }";
     return out.str();
 }
 
@@ -178,7 +166,7 @@ containmentJson(const check::ContainmentResult &containment,
         << "    \"static_control_edges\": " << static_slice.controlEdges
         << ",\n"
         << "    \"static_call_edges\": " << static_slice.callEdges << ",\n"
-        << "    \"findings\": " << findingsJson(containment.findings)
+        << "    \"findings\": " << check::findingsJson(containment.findings)
         << "\n  }";
     return out.str();
 }
@@ -273,11 +261,8 @@ main(int argc, char **argv)
         values = scenario::reexecuteRecording(prefix, records);
     }
 
-    size_t window = records.size();
-    if (use_window && meta.loadOnly && meta.loadCompleteIndex != SIZE_MAX)
-        window = std::min(window, meta.loadCompleteIndex);
-    if (end_override != SIZE_MAX)
-        window = std::min(window, end_override);
+    const size_t window =
+        meta.windowEnd(records.size(), use_window, end_override);
     slice_options.endIndex = window;
 
     std::printf("%s: %s, %zu records, window %zu\n", prefix.c_str(),

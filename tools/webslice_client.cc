@@ -31,6 +31,10 @@
  *                               failover-testing hook; maps to the
  *                               protocol's debug_sleep_ms)
  *
+ * Counts are plain decimal (no sign, blank or '+'): end= and sleep= at
+ * most INT64_MAX, backward-jobs= at most 65536. Anything else is a
+ * usage error.
+ *
  * `--query @criteria.txt` expands a spec file: one SPEC per line, blank
  * lines and `#` comments ignored. This is the convenient way to run
  * many criteria against one session (the daemon builds the session
@@ -52,7 +56,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -91,12 +94,26 @@ constexpr char kUsage[] =
     "or host:port); batches route by artifact digest and fail over to\n"
     "the next replica when the owning shard is dead or draining.\n";
 
-/** Parse one --query SPEC; exits 1 with a diagnostic on bad grammar. */
+/**
+ * Parse one --query SPEC; false with a diagnostic on bad grammar. Counts
+ * take the bounds the daemon's SliceQuery::fromJson enforces.
+ */
 bool
 parseQuerySpec(const std::string &spec, service::SliceQuery &query,
                std::string &error)
 {
     query = service::SliceQuery();
+    // Parse the value of a `key=N` modifier into `value`.
+    const auto count = [&](const std::string &part, const char *key,
+                           uint64_t max_value, uint64_t &value) {
+        std::string why;
+        if (tryParseCount(key, part.c_str() + std::strlen(key), max_value,
+                          value, why))
+            return true;
+        error = format("bad %s value in '%s': %s", key, spec.c_str(),
+                       why.c_str());
+        return false;
+    };
     std::stringstream parts(spec);
     std::string part;
     bool first = true;
@@ -118,31 +135,16 @@ parseQuerySpec(const std::string &spec, service::SliceQuery &query,
         if (part == "no-window") {
             query.noWindow = true;
         } else if (part.rfind("end=", 0) == 0) {
-            char *end = nullptr;
-            const char *text = part.c_str() + 4;
-            query.endIndex = std::strtoull(text, &end, 10);
-            if (end == text || *end != '\0') {
-                error = format("bad end= value in '%s'", spec.c_str());
+            if (!count(part, "end=", INT64_MAX, query.endIndex))
                 return false;
-            }
         } else if (part.rfind("backward-jobs=", 0) == 0) {
-            char *end = nullptr;
-            const char *text = part.c_str() + 14;
-            query.backwardJobs =
-                static_cast<int>(std::strtoul(text, &end, 10));
-            if (end == text || *end != '\0') {
-                error = format("bad backward-jobs= value in '%s'",
-                               spec.c_str());
+            uint64_t jobs = 0;
+            if (!count(part, "backward-jobs=", 1 << 16, jobs))
                 return false;
-            }
+            query.backwardJobs = static_cast<int>(jobs);
         } else if (part.rfind("sleep=", 0) == 0) {
-            char *end = nullptr;
-            const char *text = part.c_str() + 6;
-            query.debugSleepMs = std::strtoull(text, &end, 10);
-            if (end == text || *end != '\0') {
-                error = format("bad sleep= value in '%s'", spec.c_str());
+            if (!count(part, "sleep=", INT64_MAX, query.debugSleepMs))
                 return false;
-            }
         } else {
             error = format("unknown query modifier '%s' in '%s'",
                            part.c_str(), spec.c_str());

@@ -31,18 +31,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iomanip>
-#include <sstream>
 
 #include "analysis/categorize.hh"
 #include "analysis/function_stats.hh"
 #include "analysis/report.hh"
 #include "analysis/thread_stats.hh"
-#include "check/containment.hh"
-#include "check/graph_lint.hh"
-#include "check/soundness.hh"
-#include "staticdep/slice.hh"
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
 #include "slicer/slicer.hh"
@@ -60,7 +53,7 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: %s <prefix> [--syscalls] [--no-window] [--top N] [--jobs N]\n"
-    "       [--metrics-json FILE] [--progress] [--verify] [--static-compare]\n"
+    "       [--metrics-json FILE] [--progress]\n"
     "\n"
     "  --syscalls            slice on syscall-read values instead of pixel\n"
     "                        buffers\n"
@@ -73,52 +66,13 @@ constexpr char kUsage[] =
     "                        (FILE of '-' writes it to stdout and moves\n"
     "                        the human-readable report to stderr)\n"
     "  --progress            phase notices and a reverse-walk heartbeat on\n"
-    "                        stderr\n"
-    "  --verify              run the graph linter and the slice soundness\n"
-    "                        replay after slicing; exit 2 on violation\n"
-    "  --static-compare      run the static dependence analysis over the\n"
-    "                        same window, assert dynamic ⊆ static, and\n"
-    "                        print the static-vs-dynamic contrast; exit 2\n"
-    "                        on a containment violation\n";
+    "                        stderr\n";
 
 void
 phaseNotice(bool progress, const char *phase)
 {
     if (progress)
         std::fprintf(stderr, "progress: phase %s\n", phase);
-}
-
-/** JSON object with the slice statistics (raw JSON for the report). */
-std::string
-sliceStatsJson(const slicer::SliceResult &slice, const trace::RunMeta &meta,
-               const slicer::SlicerOptions &options)
-{
-    std::ostringstream out;
-    out << "{\n"
-        << "    \"benchmark\": \"" << jsonEscape(meta.benchmark) << "\",\n"
-        << "    \"criteria\": \""
-        << (options.mode == slicer::CriteriaMode::PixelBuffer
-                ? "pixel-buffer"
-                : "syscalls")
-        << "\",\n"
-        << "    \"records_fed\": " << slice.recordsFed << ",\n"
-        << "    \"instructions_analyzed\": " << slice.instructionsAnalyzed
-        << ",\n"
-        << "    \"slice_instructions\": " << slice.sliceInstructions
-        << ",\n"
-        << "    \"slice_percent\": " << std::fixed << std::setprecision(4)
-        << slice.slicePercent() << ",\n"
-        << "    \"criteria_bytes_seeded\": " << slice.criteriaBytesSeeded
-        << ",\n"
-        << "    \"peak_live_mem_bytes\": " << slice.peakLiveMemBytes
-        << ",\n"
-        << "    \"peak_pending_branches\": " << slice.peakPendingBranches
-        << ",\n"
-        << "    \"in_slice_fnv1a\": \"0x" << std::hex << std::setw(16)
-        << std::setfill('0')
-        << fnv1a64(slice.inSlice.data(), slice.inSlice.size()) << std::dec
-        << std::setfill(' ') << "\"\n  }";
-    return out.str();
 }
 
 } // namespace
@@ -142,8 +96,6 @@ main(int argc, char **argv)
     slicer::SlicerOptions options;
     bool use_window = true;
     bool progress = false;
-    bool verify = false;
-    bool static_compare = false;
     size_t top = 12;
     std::string metrics_json;
     for (int a = 2; a < argc; ++a) {
@@ -166,10 +118,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[a], "--progress")) {
             progress = true;
             options.progressIntervalSeconds = 2.0;
-        } else if (!std::strcmp(argv[a], "--verify")) {
-            verify = true;
-        } else if (!std::strcmp(argv[a], "--static-compare")) {
-            static_compare = true;
         } else {
             std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0],
                          argv[a]);
@@ -204,10 +152,8 @@ main(int argc, char **argv)
         deps = graph::buildControlDeps(cfgs, options.jobs);
     }
 
-    if (use_window && meta.loadOnly &&
-        meta.loadCompleteIndex != SIZE_MAX) {
-        options.endIndex = meta.loadCompleteIndex;
-    }
+    options.endIndex =
+        meta.windowEnd(cfgs.funcOf.size(), use_window, SIZE_MAX);
 
     // ---- backward pass (streamed) ------------------------------------------
     slicer::SliceResult slice;
@@ -242,7 +188,7 @@ main(int argc, char **argv)
         // in-memory copy.
         const trace::MappedTrace mapped(prefix + ".trc");
         const auto records = mapped.records();
-        const size_t window = std::min(options.endIndex, records.size());
+        const size_t window = options.endIndex;
 
         const auto stats = analysis::computeThreadStats(
             records, slice.inSlice, meta.threadNames, window);
@@ -283,140 +229,18 @@ main(int argc, char **argv)
         }
     }
 
-    // ---- static contrast (--static-compare) --------------------------------
-    uint64_t containment_violations = 0;
-    std::string static_compare_json;
-    if (static_compare) {
-        phaseNotice(progress, "static-compare");
-        const trace::MappedTrace mapped(prefix + ".trc");
-        const auto records = mapped.records();
-        const size_t window = std::min(options.endIndex, records.size());
-
-        staticdep::ModelOptions model_options;
-        model_options.endIndex = window;
-        const staticdep::StaticAnalysis static_analysis =
-            staticdep::buildStaticAnalysis(records, cfgs, deps,
-                                           model_options);
-        staticdep::StaticSliceOptions static_options;
-        static_options.mode = options.mode;
-        static_options.includeControlDeps = options.includeControlDeps;
-        static_options.includeRegisterDeps = options.includeRegisterDeps;
-        const staticdep::StaticSliceResult static_slice =
-            staticdep::computeStaticSlice(static_analysis, criteria,
-                                          static_options);
-        staticdep::publishStaticSliceMetrics(static_slice);
-
-        check::ContainmentResult containment;
-        {
-            ScopedPhase phase("static-compare");
-            containment = check::checkContainment(
-                records, cfgs, symtab, slice, static_slice);
-        }
-        containment_violations = containment.findings.total;
-
-        const auto contrast = analysis::contrastSlices(
-            records, slice.inSlice, static_slice, cfgs, symtab,
-            analysis::Categorizer::chromiumDefault(), window);
-        std::ostringstream contrast_os;
-        analysis::renderContrast(contrast_os, contrast);
-        std::fprintf(report,
-                     "\nstatic slice: %s of %s sites (%.1f%%), "
-                     "containment %s\n%s",
-                     withCommas(static_slice.includedSites).c_str(),
-                     withCommas(static_slice.siteUniverse).c_str(),
-                     static_slice.slicePercent(),
-                     containment.ok()
-                         ? "dynamic ⊆ static"
-                         : format("%llu VIOLATIONS",
-                                  static_cast<unsigned long long>(
-                                      containment.violations))
-                               .c_str(),
-                     contrast_os.str().c_str());
-        for (const auto &message : containment.findings.messages)
-            if (!message.empty())
-                std::fprintf(report, "    %s\n", message.c_str());
-
-        std::ostringstream json;
-        json << "{\n"
-             << "    \"static_sites\": " << static_slice.siteUniverse
-             << ",\n"
-             << "    \"static_included\": " << static_slice.includedSites
-             << ",\n"
-             << "    \"static_data_edges\": " << static_slice.dataEdges
-             << ",\n"
-             << "    \"static_control_edges\": "
-             << static_slice.controlEdges << ",\n"
-             << "    \"containment_ok\": "
-             << (containment.ok() ? "true" : "false") << ",\n"
-             << "    \"containment_violations\": "
-             << containment.violations << ",\n"
-             << "    \"statically_removable\": "
-             << contrast.staticallyRemovable << ",\n"
-             << "    \"dynamic_only\": " << contrast.dynamicOnly
-             << "\n  }";
-        static_compare_json = json.str();
-    }
-
-    // ---- inline verification (--verify) ------------------------------------
-    uint64_t verify_violations = 0;
-    if (verify) {
-        phaseNotice(progress, "verify");
-        ScopedPhase phase("verify");
-        const trace::MappedTrace mapped(prefix + ".trc");
-        const auto records = mapped.records();
-
-        const auto lint =
-            check::lintGraphs(records, symtab, cfgs, &deps);
-        check::SoundnessOptions sound_options;
-        sound_options.mode = options.mode;
-        sound_options.minimalityProbes = 2;
-        const auto sound = check::checkSliceSoundness(
-            records, slice, criteria, nullptr, sound_options);
-
-        std::fprintf(report, "\nverify: graph lint %s, soundness %s "
-                    "(%llu criterion bytes, %llu/%llu probes)\n",
-                    lint.ok() ? "clean"
-                              : format("%llu findings",
-                                       static_cast<unsigned long long>(
-                                           lint.findings.total))
-                                    .c_str(),
-                    sound.ok() ? "clean"
-                               : format("%llu findings",
-                                        static_cast<unsigned long long>(
-                                            sound.findings.total))
-                                     .c_str(),
-                    static_cast<unsigned long long>(
-                        sound.criteriaBytesChecked),
-                    static_cast<unsigned long long>(
-                        sound.probesConfirmed),
-                    static_cast<unsigned long long>(sound.probesRun));
-        for (const auto &message : lint.findings.messages)
-            std::fprintf(report, "    %s\n", message.c_str());
-        for (const auto &message : sound.findings.messages)
-            std::fprintf(report, "    %s\n", message.c_str());
-        verify_violations = lint.findings.total + sound.findings.total;
-    }
-
     if (!metrics_json.empty()) {
-        std::vector<std::pair<std::string, std::string>> extras = {
-            {"slice", sliceStatsJson(slice, meta, options)},
+        const std::vector<std::pair<std::string, std::string>> extras = {
+            {"slice", analysis::sliceStatsJson(slice, meta.benchmark,
+                                               options.mode)},
             {"artifacts",
              trace::artifactDigestsJson(trace::digestArtifacts(prefix))},
         };
-        if (!static_compare_json.empty())
-            extras.emplace_back("static_compare", static_compare_json);
         writeMetricsReport(metrics_json, MetricRegistry::global(),
                            "webslice-profile", extras);
         if (progress)
             std::fprintf(stderr, "progress: metrics report written to %s\n",
                          metrics_json.c_str());
-    }
-    if (verify_violations + containment_violations > 0) {
-        std::fprintf(stderr, "webslice-profile: %llu verification "
-                             "violations\n",
-                     static_cast<unsigned long long>(
-                         verify_violations + containment_violations));
-        return 2;
     }
     return 0;
 }

@@ -78,32 +78,6 @@ phaseNotice(bool progress, const char *phase)
         std::fprintf(stderr, "progress: phase %s\n", phase);
 }
 
-/** Dynamic-slice statistics (shared schema with webslice-profile). */
-std::string
-sliceStatsJson(const slicer::SliceResult &slice, const trace::RunMeta &meta,
-               const slicer::SlicerOptions &options)
-{
-    std::ostringstream out;
-    out << "{\n"
-        << "    \"benchmark\": \"" << jsonEscape(meta.benchmark) << "\",\n"
-        << "    \"criteria\": \""
-        << (options.mode == slicer::CriteriaMode::PixelBuffer
-                ? "pixel-buffer"
-                : "syscalls")
-        << "\",\n"
-        << "    \"instructions_analyzed\": " << slice.instructionsAnalyzed
-        << ",\n"
-        << "    \"slice_instructions\": " << slice.sliceInstructions
-        << ",\n"
-        << "    \"slice_percent\": " << std::fixed << std::setprecision(4)
-        << slice.slicePercent() << ",\n"
-        << "    \"in_slice_fnv1a\": \"0x" << std::hex << std::setw(16)
-        << std::setfill('0')
-        << fnv1a64(slice.inSlice.data(), slice.inSlice.size()) << std::dec
-        << std::setfill(' ') << "\"\n  }";
-    return out.str();
-}
-
 std::string
 staticSliceJson(const staticdep::StaticSliceResult &s, uint64_t widened,
                 uint64_t rd_fallbacks)
@@ -129,20 +103,6 @@ staticSliceJson(const staticdep::StaticSliceResult &s, uint64_t widened,
 }
 
 std::string
-findingsJson(const check::Findings &findings)
-{
-    std::ostringstream out;
-    out << "{ \"total\": " << findings.total << ", \"messages\": [";
-    for (size_t i = 0; i < findings.messages.size(); ++i) {
-        if (i)
-            out << ", ";
-        out << '"' << jsonEscape(findings.messages[i]) << '"';
-    }
-    out << "] }";
-    return out.str();
-}
-
-std::string
 containmentJson(const check::ContainmentResult &containment)
 {
     std::ostringstream out;
@@ -153,7 +113,7 @@ containmentJson(const check::ContainmentResult &containment)
         << "    \"in_slice_checked\": " << containment.inSliceChecked
         << ",\n"
         << "    \"violations\": " << containment.violations << ",\n"
-        << "    \"findings\": " << findingsJson(containment.findings)
+        << "    \"findings\": " << check::findingsJson(containment.findings)
         << "\n  }";
     return out.str();
 }
@@ -272,9 +232,8 @@ main(int argc, char **argv)
         deps = graph::buildControlDeps(cfgs, options.jobs);
     }
 
-    if (use_window && meta.loadOnly && meta.loadCompleteIndex != SIZE_MAX)
-        options.endIndex = meta.loadCompleteIndex;
-    options.endIndex = std::min(options.endIndex, end_cap);
+    options.endIndex =
+        meta.windowEnd(cfgs.funcOf.size(), use_window, end_cap);
 
     // ---- dynamic backward pass ---------------------------------------------
     slicer::SliceResult slice;
@@ -302,7 +261,7 @@ main(int argc, char **argv)
     // ---- static analysis + walk --------------------------------------------
     const trace::MappedTrace mapped(prefix + ".trc");
     const auto records = mapped.records();
-    const size_t window = std::min(options.endIndex, records.size());
+    const size_t window = options.endIndex;
 
     staticdep::StaticAnalysis static_analysis;
     {
@@ -384,7 +343,8 @@ main(int argc, char **argv)
 
     if (!metrics_json.empty()) {
         const std::vector<std::pair<std::string, std::string>> extras = {
-            {"slice", sliceStatsJson(slice, meta, options)},
+            {"slice", analysis::sliceStatsJson(slice, meta.benchmark,
+                                               options.mode)},
             {"static_slice",
              staticSliceJson(static_slice,
                              static_analysis.model.widenedSites,
