@@ -119,6 +119,71 @@ readLength(const uint8_t *&p, const uint8_t *end, size_t &len)
     }
 }
 
+/** `len` rounded up to a whole number of `Stride`-byte chunks. */
+template <size_t Stride>
+size_t
+strideSpan(size_t len)
+{
+    return (len + Stride - 1) & ~(Stride - 1);
+}
+
+/**
+ * Copy `len` bytes in whole `Stride`-byte chunks, front to back. The
+ * last chunk may run up to Stride - 1 bytes past `len`, so the caller
+ * guarantees strideSpan<Stride>(len) readable bytes at `from` and
+ * writable bytes at `to`. A chunk never overlaps its own source when
+ * `to - from >= Stride`, so a match at such an offset may use it: each
+ * chunk reads only bytes written before it.
+ */
+template <size_t Stride>
+void
+copyStrided(uint8_t *to, const uint8_t *from, size_t len)
+{
+    for (size_t i = 0; i < len; i += Stride)
+        std::memcpy(to + i, from + i, Stride);
+}
+
+/**
+ * Copy `len` literal bytes. Chunked copies may read and write past the
+ * literal's end (into bytes the next sequence overwrites) only while
+ * `src_room` and `dst_room` cover the whole chunk.
+ */
+void
+copyLiterals(uint8_t *to, const uint8_t *from, size_t len, size_t src_room,
+             size_t dst_room)
+{
+    const size_t room = src_room < dst_room ? src_room : dst_room;
+    if (len <= 16 && room >= 16)
+        std::memcpy(to, from, 16);
+    else if (strideSpan<32>(len) <= room)
+        copyStrided<32>(to, from, len); // len 0 lands here: no copy
+    else
+        std::memcpy(to, from, len); // len >= 1: both pointers are real
+}
+
+/**
+ * Replay a match `offset` bytes back. Overlapping matches
+ * (offset < len) must repeat bytes as they are produced, which every
+ * branch does: offset 1 is a run of one byte, the chunked copies only
+ * run at offsets of at least their chunk, and the rest go byte by byte.
+ */
+void
+copyMatch(uint8_t *to, size_t offset, size_t len, size_t dst_room)
+{
+    const uint8_t *from = to - offset;
+    if (offset == 1)
+        std::memset(to, *from, len);
+    else if (offset >= 32 && strideSpan<32>(len) <= dst_room)
+        copyStrided<32>(to, from, len);
+    else if (offset >= 16 && strideSpan<16>(len) <= dst_room)
+        copyStrided<16>(to, from, len);
+    else if (offset >= 8 && strideSpan<8>(len) <= dst_room)
+        copyStrided<8>(to, from, len);
+    else
+        for (size_t i = 0; i < len; ++i)
+            to[i] = from[i];
+}
+
 } // namespace
 
 bool
@@ -135,13 +200,10 @@ lzDecompress(const uint8_t *src, size_t src_size, uint8_t *dst,
         size_t literal_len = token >> 4;
         if (literal_len == 15 && !readLength(p, src_end, literal_len))
             return false;
-        if (literal_len > static_cast<size_t>(src_end - p) ||
-            literal_len > dst_size - out)
+        const size_t src_room = static_cast<size_t>(src_end - p);
+        if (literal_len > src_room || literal_len > dst_size - out)
             return false;
-        // An empty payload has no output buffer (dst may be null), and
-        // memcpy's pointers must be valid even for zero bytes.
-        if (literal_len)
-            std::memcpy(dst + out, p, literal_len);
+        copyLiterals(dst + out, p, literal_len, src_room, dst_size - out);
         p += literal_len;
         out += literal_len;
 
@@ -160,12 +222,7 @@ lzDecompress(const uint8_t *src, size_t src_size, uint8_t *dst,
         match_len += kMinMatch;
         if (offset == 0 || offset > out || match_len > dst_size - out)
             return false;
-        // Overlapping copy (offset < match_len) must replay bytes as
-        // they are produced: copy strictly forward.
-        const uint8_t *from = dst + out - offset;
-        uint8_t *to = dst + out;
-        for (size_t i = 0; i < match_len; ++i)
-            to[i] = from[i];
+        copyMatch(dst + out, offset, match_len, dst_size - out);
         out += match_len;
     }
 }

@@ -7,10 +7,12 @@
  * token/literals/match sequence stream: greedy matching against a
  * single-entry hash table, 16-bit match offsets (64 KiB window), and a
  * 4-byte minimum match. That is deliberately the simple end of the LZ
- * family — decode is a tight copy loop with no entropy stage, so the
- * decode path (the hot side: every block seek pays it) runs at memcpy
- * order of magnitude, while the repetitive delta-varint columns the
- * trace encoder produces still compress by several x.
+ * family — there is no entropy stage, and decode copies literals and
+ * matches in fixed 8-, 16- and 32-byte chunks wherever the buffers
+ * leave room (a one-byte run is a memset), so the decode path (the hot
+ * side: every block seek pays it) runs at memcpy order of magnitude,
+ * while the repetitive delta-varint columns the trace encoder produces
+ * still compress by several x.
  *
  * The codec is format-stable: compressed blocks are persisted in .trc
  * v2 files, so the byte stream below must not change shape.

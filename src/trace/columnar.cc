@@ -1,6 +1,7 @@
 #include "trace/columnar.hh"
 
 #include <cstring>
+#include <memory>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -66,17 +67,22 @@ noteTraceBytesOnDisk(uint64_t identity, uint64_t bytes)
 }
 
 uint64_t
-traceFileIdentity(const std::string &path, uint64_t file_bytes)
+traceFileIdentity(int fd, const std::string &path, uint64_t file_bytes)
 {
     uint64_t identity = kFnv1a64Offset;
 #ifdef WEBSLICE_HAVE_PREAD
     struct stat st;
-    if (::stat(path.c_str(), &st) == 0) {
-        identity = fnv1a64(&st.st_dev, sizeof(st.st_dev), identity);
-        identity = fnv1a64(&st.st_ino, sizeof(st.st_ino), identity);
-        identity = fnv1a64(&st.st_size, sizeof(st.st_size), identity);
-        identity = fnv1a64(&st.st_mtime, sizeof(st.st_mtime), identity);
-        return identity;
+    if (fd >= 0 && ::fstat(fd, &st) == 0) {
+        const int64_t stamp[] = {
+            static_cast<int64_t>(st.st_dev),
+            static_cast<int64_t>(st.st_ino),
+            static_cast<int64_t>(st.st_size),
+            static_cast<int64_t>(st.st_mtim.tv_sec),
+            static_cast<int64_t>(st.st_mtim.tv_nsec),
+            static_cast<int64_t>(st.st_ctim.tv_sec),
+            static_cast<int64_t>(st.st_ctim.tv_nsec),
+        };
+        return fnv1a64(stamp, sizeof(stamp), identity);
     }
 #endif
     identity = fnv1a64(path.data(), path.size(), identity);
@@ -139,6 +145,96 @@ putDelta(uint64_t cur, uint64_t &prev, std::vector<uint8_t> &col)
     prev = cur;
 }
 
+// The decode loop's failure reports live out of line, so the loop
+// itself only tests and branches, and no call takes its cursors'
+// addresses. Each report re-tests its check's condition, because
+// fatal_if prints the condition's text in the diagnostic.
+
+[[noreturn, gnu::cold, gnu::noinline]] void
+corruptColumn(const std::string &context, int c, uint64_t record)
+{
+    fatal_if(true, "corrupt trace block in ", context, ": column ", c,
+             " is truncated or malformed at record ", record);
+}
+
+[[gnu::cold, gnu::noinline]] void
+reportKindFlags(const std::string &context, uint8_t kf, uint64_t i)
+{
+    const uint8_t kind = kf & 0x0F;
+    const uint8_t flags = kf >> 4;
+    fatal_if(kind > kMaxKind || (flags & ~kAllFlags),
+             "corrupt trace block in ", context,
+             ": undecodable kind/flags byte 0x", kf, " at record ", i);
+}
+
+[[gnu::cold, gnu::noinline]] void
+reportFieldRange(const std::string &context, uint64_t pc, uint64_t aux,
+                 uint64_t tid, uint64_t i)
+{
+    fatal_if(pc > 0xFFFFFFFFull || aux > 0xFFFFFFFFull ||
+             tid > 0xFFFFull,
+             "corrupt trace block in ", context,
+             ": delta column leaves field range at record ", i);
+}
+
+/** A varint read from a column, and the column's cursor past it. */
+struct ColumnVarint
+{
+    const uint8_t *next;
+    uint64_t value;
+};
+
+/** A multi-byte varint at `p`, or column `c`'s corruption report. */
+[[gnu::noinline]] ColumnVarint
+readLongVarint(const uint8_t *p, const uint8_t *end,
+               const std::string &context, int c, uint64_t record)
+{
+    uint64_t v = 0;
+    if (!getVarint(p, end, v))
+        corruptColumn(context, c, record);
+    return {p, v};
+}
+
+/**
+ * The unread bytes of one column. The decode loop keeps one per column
+ * as a local whose address no call takes, so the nine cursors can live
+ * in registers.
+ */
+struct ColumnCursor
+{
+    const uint8_t *p = nullptr;
+    const uint8_t *end = nullptr;
+    int column = 0;
+
+    /** The next varint; one-byte values take the inline path. */
+    uint64_t
+    next(const std::string &context, uint64_t record)
+    {
+        if (p < end && *p < 0x80) [[likely]]
+            return *p++;
+        const ColumnVarint v = readLongVarint(p, end, context, column,
+                                              record);
+        p = v.next;
+        return v.value;
+    }
+
+    /**
+     * The next register (0 = kNoReg, else reg + 1). A one-byte value
+     * needs no range check: 0 - 1 wraps to kNoReg, and 1..127 map to
+     * registers 0..126.
+     */
+    RegId
+    nextReg(const std::string &context, uint64_t record)
+    {
+        if (p < end && *p < 0x80) [[likely]]
+            return static_cast<RegId>(*p++ - 1);
+        RegId reg = kNoReg;
+        if (!regFromColumn(next(context, record), reg))
+            corruptColumn(context, column, record);
+        return reg;
+    }
+};
+
 } // namespace
 
 uint32_t
@@ -189,14 +285,16 @@ decodeV2Block(const uint8_t *payload, size_t encoded_bytes,
               const V2Checkpoint &checkpoint, std::vector<Record> &out,
               const std::string &context)
 {
-    std::vector<uint8_t> raw(raw_bytes);
-    fatal_if(!lzDecompress(payload, encoded_bytes, raw.data(), raw_bytes),
+    // Every byte is written by the LZ decode before it is read, so the
+    // buffer is not zeroed first.
+    const auto raw = std::make_unique_for_overwrite<uint8_t[]>(raw_bytes);
+    fatal_if(!lzDecompress(payload, encoded_bytes, raw.get(), raw_bytes),
              "corrupt compressed trace block in ", context,
              ": LZ stream does not decode to the ", raw_bytes,
              " bytes the index claims");
 
-    const uint8_t *p = raw.data();
-    const uint8_t *const end = p + raw.size();
+    const uint8_t *p = raw.get();
+    const uint8_t *const end = p + raw_bytes;
     uint64_t count = 0;
     fatal_if(!getVarint(p, end, count) || count != expect_records,
              "corrupt trace block in ", context, ": payload claims ",
@@ -205,78 +303,66 @@ decodeV2Block(const uint8_t *payload, size_t encoded_bytes,
     // Column extents are declared up front; every decode below is
     // bounds-checked against its own column, so a corrupt length in
     // one column cannot bleed reads into the next.
-    const uint8_t *col[kColumnCount];
-    const uint8_t *col_end[kColumnCount];
+    ColumnCursor col[kColumnCount];
     for (int c = 0; c < kColumnCount; ++c) {
         uint64_t len = 0;
         fatal_if(!getVarint(p, end, len) ||
                  len > static_cast<uint64_t>(end - p),
                  "corrupt trace block in ", context, ": column ", c,
                  " overruns the payload");
-        col[c] = p;
-        col_end[c] = p + len;
+        col[c] = {p, p + len, c};
         p += len;
     }
     fatal_if(p != end, "corrupt trace block in ", context, ": ",
              end - p, " trailing payload bytes after the last column");
 
-    out.clear();
-    out.reserve(count);
+    ColumnCursor kinds = col[kColKindFlags];
+    ColumnCursor pcs = col[kColPc];
+    ColumnCursor addrs = col[kColAddr];
+    ColumnCursor auxs = col[kColAux];
+    ColumnCursor tids = col[kColTid];
+    ColumnCursor rr0s = col[kColRr0];
+    ColumnCursor rr1s = col[kColRr1];
+    ColumnCursor rr2s = col[kColRr2];
+    ColumnCursor rws = col[kColRw];
     uint64_t prev_pc = checkpoint.prevPc;
     uint64_t prev_addr = checkpoint.prevAddr;
     uint64_t prev_aux = checkpoint.prevAux;
     uint64_t prev_tid = checkpoint.prevTid;
-    const auto corrupt_column = [&](int c) {
-        fatal_if(true, "corrupt trace block in ", context, ": column ",
-                 c, " is truncated or malformed at record ", out.size());
-    };
-    const auto delta = [&](int c, uint64_t &prev) {
-        uint64_t z = 0;
-        if (!getVarint(col[c], col_end[c], z))
-            corrupt_column(c);
-        prev += static_cast<uint64_t>(unzigzag(z));
-        return prev;
-    };
-    const auto reg = [&](int c) {
-        uint64_t v = 0;
-        RegId r = kNoReg;
-        if (!getVarint(col[c], col_end[c], v) || !regFromColumn(v, r))
-            corrupt_column(c);
-        return r;
-    };
+    out.resize(count);
+    Record *const records = out.data();
     for (uint64_t i = 0; i < count; ++i) {
-        Record rec;
-        if (col[kColKindFlags] >= col_end[kColKindFlags])
-            corrupt_column(kColKindFlags);
-        const uint8_t kf = *col[kColKindFlags]++;
+        if (kinds.p >= kinds.end) [[unlikely]]
+            corruptColumn(context, kColKindFlags, i);
+        const uint8_t kf = *kinds.p++;
         const uint8_t kind = kf & 0x0F;
         const uint8_t flags = kf >> 4;
-        fatal_if(kind > kMaxKind || (flags & ~kAllFlags),
-                 "corrupt trace block in ", context,
-                 ": undecodable kind/flags byte 0x", kf, " at record ",
-                 i);
+        if (kind > kMaxKind || (flags & ~kAllFlags)) [[unlikely]]
+            reportKindFlags(context, kf, i);
+        prev_pc += static_cast<uint64_t>(unzigzag(pcs.next(context, i)));
+        prev_aux += static_cast<uint64_t>(unzigzag(auxs.next(context, i)));
+        prev_tid += static_cast<uint64_t>(unzigzag(tids.next(context, i)));
+        if (prev_pc > 0xFFFFFFFFull || prev_aux > 0xFFFFFFFFull ||
+            prev_tid > 0xFFFFull) [[unlikely]]
+            reportFieldRange(context, prev_pc, prev_aux, prev_tid, i);
+        prev_addr += static_cast<uint64_t>(unzigzag(addrs.next(context, i)));
+        Record rec;
         rec.kind = static_cast<RecordKind>(kind);
         rec.flags = flags;
-        const uint64_t pc = delta(kColPc, prev_pc);
-        const uint64_t aux = delta(kColAux, prev_aux);
-        const uint64_t tid = delta(kColTid, prev_tid);
-        fatal_if(pc > 0xFFFFFFFFull || aux > 0xFFFFFFFFull ||
-                 tid > 0xFFFFull,
-                 "corrupt trace block in ", context,
-                 ": delta column leaves field range at record ", i);
-        rec.pc = static_cast<Pc>(pc);
-        rec.addr = delta(kColAddr, prev_addr);
-        rec.aux = static_cast<uint32_t>(aux);
-        rec.tid = static_cast<ThreadId>(tid);
-        rec.rr0 = reg(kColRr0);
-        rec.rr1 = reg(kColRr1);
-        rec.rr2 = reg(kColRr2);
-        rec.rw = reg(kColRw);
-        out.push_back(rec);
+        rec.pc = static_cast<Pc>(prev_pc);
+        rec.addr = prev_addr;
+        rec.aux = static_cast<uint32_t>(prev_aux);
+        rec.tid = static_cast<ThreadId>(prev_tid);
+        rec.rr0 = rr0s.nextReg(context, i);
+        rec.rr1 = rr1s.nextReg(context, i);
+        rec.rr2 = rr2s.nextReg(context, i);
+        rec.rw = rws.nextReg(context, i);
+        records[i] = rec;
     }
-    for (int c = 0; c < kColumnCount; ++c) {
-        fatal_if(col[c] != col_end[c], "corrupt trace block in ", context,
-                 ": column ", c, " has ", col_end[c] - col[c],
+    for (const ColumnCursor &c :
+         {kinds, pcs, addrs, auxs, tids, rr0s, rr1s, rr2s, rws}) {
+        fatal_if(c.p != c.end, "corrupt trace block in ", context,
+                 ": column ", c.column, " has ", c.end - c.p,
                  " undecoded trailing bytes");
     }
 
@@ -412,7 +498,7 @@ V2TraceFile::V2TraceFile(const std::string &path) : path_(path)
              "corrupt trace block index in ", path, ": blocks carry ",
              records, " records, header claims ", header.recordCount);
 
-    cacheKey_ = traceFileIdentity(path, file_bytes);
+    cacheKey_ = traceFileIdentity(fd_, path, file_bytes);
     noteTraceBytesOnDisk(cacheKey_, file_bytes);
 }
 
@@ -481,23 +567,38 @@ TraceDecodeCache::budget() const
 }
 
 std::shared_ptr<const std::vector<Record>>
+TraceDecodeCache::lookupLocked(const Key &key)
+{
+    auto &registry = MetricRegistry::global();
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+        ++counters_.misses;
+        registry.counter("trace.block_cache_misses").add();
+        return nullptr;
+    }
+    ++counters_.hits;
+    registry.counter("trace.block_cache_hits").add();
+    lru_.erase(it->second.lruIt);
+    lru_.push_front(key);
+    it->second.lruIt = lru_.begin();
+    return it->second.block;
+}
+
+std::shared_ptr<const std::vector<Record>>
+TraceDecodeCache::find(const V2TraceFile &file, size_t b)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return lookupLocked({file.cacheKey(), b});
+}
+
+std::shared_ptr<const std::vector<Record>>
 TraceDecodeCache::acquire(const V2TraceFile &file, size_t b)
 {
     const Key key{file.cacheKey(), b};
-    auto &registry = MetricRegistry::global();
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            ++counters_.hits;
-            registry.counter("trace.block_cache_hits").add();
-            lru_.erase(it->second.lruIt);
-            lru_.push_front(key);
-            it->second.lruIt = lru_.begin();
-            return it->second.block;
-        }
-        ++counters_.misses;
-        registry.counter("trace.block_cache_misses").add();
+        if (auto hit = lookupLocked(key))
+            return hit;
     }
 
     // Decode outside the lock: a concurrent miss on the same block may

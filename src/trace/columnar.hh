@@ -28,7 +28,9 @@
  * blocks through a process-wide, byte-budgeted LRU (TraceDecodeCache)
  * whose budget the service folds into --cache-bytes, so readers that
  * revisit a block decode it once. Whole-file reads (loadTrace,
- * MappedTrace) decode in order and bypass it.
+ * MappedTrace) copy out the blocks the cache holds and decode only the
+ * rest, which they do not insert: a profile decodes each block once,
+ * and a one-shot read of a cold file leaves the cache empty.
  *
  * File layout:
  *   V2Header  { "WEBTRC2\0", recordCount, indexOffset }
@@ -109,11 +111,14 @@ static_assert(sizeof(V2IndexHeader) == 24,
               "v2 index header layout must stay fixed");
 
 /**
- * Stable identity of a trace file on disk (device/inode/size/mtime
- * folded; falls back to path+size). Keys the decode cache and the
- * bytes-on-disk dedup.
+ * Identity of the open trace file `fd`: its device, inode, size, and
+ * modification and status-change times to the nanosecond, folded from
+ * one fstat() of the descriptor that is read (the stamp the service's
+ * session cache trusts). Without a descriptor (fd < 0) or fstat, path
+ * and size. Keys the decode cache and the bytes-on-disk dedup.
  */
-uint64_t traceFileIdentity(const std::string &path, uint64_t file_bytes);
+uint64_t traceFileIdentity(int fd, const std::string &path,
+                           uint64_t file_bytes);
 
 /**
  * Count `bytes` into the `trace.bytes_on_disk` counter once per
@@ -210,7 +215,8 @@ class V2TraceFile
      */
     void decodeBlock(size_t b, std::vector<Record> &out) const;
 
-    /** Identity for the decode cache: device/inode/size/mtime folded. */
+    /** Identity for the decode cache: traceFileIdentity of the open
+     *  descriptor. */
     uint64_t cacheKey() const { return cacheKey_; }
 
   private:
@@ -245,6 +251,14 @@ class TraceDecodeCache
      */
     std::shared_ptr<const std::vector<Record>>
     acquire(const V2TraceFile &file, size_t b);
+
+    /**
+     * The decoded records of `file`'s block `b` if the cache holds
+     * them, else null. Counts a hit or a miss like acquire(), but never
+     * decodes and never inserts.
+     */
+    std::shared_ptr<const std::vector<Record>>
+    find(const V2TraceFile &file, size_t b);
 
     /** Drop all cached blocks (tests / budget reconfiguration). */
     void clear();
@@ -285,6 +299,10 @@ class TraceDecodeCache
         std::list<Key>::iterator lruIt;
         uint64_t bytes = 0;
     };
+
+    /** The cached block for `key` (refreshed as most recently used,
+     *  counted as a hit), or null (counted as a miss). */
+    std::shared_ptr<const std::vector<Record>> lookupLocked(const Key &key);
 
     void evictLocked();
 

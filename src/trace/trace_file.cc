@@ -54,21 +54,23 @@ ceilDiv(uint64_t n, uint64_t d)
 /**
  * The one v1 validator, shared by TraceSource and MappedTrace's mmap
  * branch: the magic, then the payload geometry, then the optional
- * WEBTIDX1 footer. `read_at(out, bytes, offset, what)` fetches bytes of
- * the file. Every diagnostic names the file and the offending byte
- * offset, so a corrupt artifact fails loudly here instead of silently
- * slicing a partial trace. Counts read from the file are bounded by the
+ * WEBTIDX1 footer. `identity` is the file's traceFileIdentity, and
+ * `read_at(out, bytes, offset, what)` fetches bytes of the file. Every
+ * diagnostic names the file and the offending byte offset, so a
+ * corrupt artifact fails loudly here instead of silently slicing a
+ * partial trace. Counts read from the file are bounded by the
  * bytes actually present before anything is multiplied, so no crafted
  * header can wrap a size check. Returns the record count.
  */
 template <typename ReadAt>
 uint64_t
-validateV1(const std::string &path, uint64_t file_bytes, ReadAt &&read_at)
+validateV1(const std::string &path, uint64_t file_bytes, uint64_t identity,
+           ReadAt &&read_at)
 {
     fatal_if(file_bytes < sizeof(TraceHeader),
              "trace file too small for a header: ", path, " (",
              file_bytes, " of ", sizeof(TraceHeader), " bytes)");
-    noteTraceBytesOnDisk(traceFileIdentity(path, file_bytes), file_bytes);
+    noteTraceBytesOnDisk(identity, file_bytes);
 
     TraceHeader header;
     read_at(&header, sizeof(header), 0, "trace header");
@@ -167,8 +169,14 @@ class TraceSource
                  "cannot seek in trace file ", path);
         const long end = std::ftell(file_.get());
         fatal_if(end < 0, "cannot size trace file ", path);
+#ifdef WEBSLICE_HAVE_MMAP
+        const int fd = ::fileno(file_.get());
+#else
+        const int fd = -1;
+#endif
         count_ = validateV1(
             path, static_cast<uint64_t>(end),
+            traceFileIdentity(fd, path, static_cast<uint64_t>(end)),
             [this](void *out, size_t bytes, uint64_t offset,
                    const char *what) {
                 seek(offset);
@@ -214,12 +222,18 @@ class TraceSource
                 read(0, static_cast<size_t>(count_), records);
             return records;
         }
-        // One-shot whole-file read: decode blocks in order, bypassing
-        // the decode cache (nothing would be revisited).
+        // Blocks the decode cache holds (a pass over this file has just
+        // filled it, say) are copied out. The rest are decoded here and
+        // not inserted, so a one-shot read of a cold file leaves the
+        // cache, and the process's memory, as it found them.
+        auto &cache = TraceDecodeCache::global();
         records.reserve(static_cast<size_t>(count_));
-        std::vector<Record> block;
+        std::vector<Record> decoded;
         for (size_t b = 0; b < v2_->index().blocks.size(); ++b) {
-            v2_->decodeBlock(b, block);
+            const auto cached = cache.find(*v2_, b);
+            if (!cached)
+                v2_->decodeBlock(b, decoded);
+            const std::vector<Record> &block = cached ? *cached : decoded;
             records.insert(records.end(), block.begin(), block.end());
         }
         return records;
@@ -407,6 +421,7 @@ MappedTrace::MappedTrace(const std::string &path)
         struct stat st;
         fatal_if(::fstat(fd, &st) != 0, "cannot stat trace file ", path);
         const size_t file_bytes = static_cast<size_t>(st.st_size);
+        const uint64_t identity = traceFileIdentity(fd, path, file_bytes);
         void *map =
             ::mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
         ::close(fd); // the mapping holds its own reference
@@ -414,7 +429,7 @@ MappedTrace::MappedTrace(const std::string &path)
             map_ = map;
             mapBytes_ = file_bytes;
             const char *bytes = static_cast<const char *>(map);
-            count_ = validateV1(path, file_bytes,
+            count_ = validateV1(path, file_bytes, identity,
                                 [bytes](void *out, size_t size,
                                         uint64_t offset, const char *) {
                                     std::memcpy(out, bytes + offset, size);

@@ -131,14 +131,19 @@ class TraceWriter
     std::unique_ptr<V2WriterBackend> v2_;
 };
 
-/** Read a whole trace file into memory. */
+/**
+ * Read a whole trace file into memory. v2 blocks that the decode cache
+ * (trace/columnar.hh) holds are copied from it; the rest are decoded
+ * without being inserted.
+ */
 std::vector<Record> loadTrace(const std::string &path);
 
 /**
  * Zero-copy view of a whole trace file via mmap. v2 files, and v1 files
  * when mmap is unavailable (or fails), are read into an owned buffer
- * instead, so records() is always valid; mapped() reports which path
- * was taken.
+ * instead, as loadTrace reads them (so after a pass over a v2 file the
+ * copy comes from the decode cache, with no second decode); records()
+ * is always valid, and mapped() reports which path was taken.
  */
 class MappedTrace
 {

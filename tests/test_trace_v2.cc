@@ -3,8 +3,9 @@
  * Tests of the columnar compressed trace format (v2) and its companions:
  * the LZ block codec, the whole-file readers' transparent v2 decode
  * (the block reader is swept in test_trace_properties.cc), the
- * process-wide decode cache, and — the contract the whole format hangs
- * on — bit-identical slices from v1 and v2 files of the same recording.
+ * process-wide decode cache and the whole-file reads that take blocks
+ * from it, and — the contract the whole format hangs on — bit-identical
+ * slices from v1 and v2 files of the same recording.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,9 @@
 #include <random>
 #include <string>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
 
 #include "graph/cfg.hh"
 #include "graph/control_deps.hh"
@@ -102,14 +106,37 @@ TEST(LzCodec, RoundTripsVariedPayloads)
                                        : static_cast<uint8_t>(prng()));
         payloads.push_back(std::move(mixed));
     }
+    // One match per payload at every offset 1-40 and length 4-300: a
+    // random literal run of `offset` bytes, repeated for `length` bytes,
+    // then a random tail of 0-40 bytes. Tails under 32 bytes put the
+    // match, and short literal runs, in the last 32 bytes of the output,
+    // where the decoder's chunked copies must give way to exact ones.
+    for (size_t offset = 1; offset <= 40; ++offset) {
+        for (size_t length = 4; length <= 300; ++length) {
+            std::vector<uint8_t> match;
+            for (size_t i = 0; i < offset; ++i)
+                match.push_back(static_cast<uint8_t>(prng()));
+            for (size_t i = 0; i < length; ++i)
+                match.push_back(match[i]);
+            const size_t tail = (offset * 7 + length) % 41;
+            for (size_t i = 0; i < tail; ++i)
+                match.push_back(static_cast<uint8_t>(prng()));
+            payloads.push_back(std::move(match));
+        }
+    }
 
     for (const auto &payload : payloads) {
         std::vector<uint8_t> compressed;
         lzCompress(payload.data(), payload.size(), compressed);
+        // Exactly sized buffers on both sides, so the address sanitizer
+        // sees any read or write past either end.
+        const std::vector<uint8_t> stream(compressed.begin(),
+                                          compressed.end());
         std::vector<uint8_t> decoded(payload.size());
-        ASSERT_TRUE(lzDecompress(compressed.data(), compressed.size(),
+        ASSERT_TRUE(lzDecompress(stream.data(), stream.size(),
                                  decoded.data(), decoded.size()));
-        EXPECT_EQ(decoded, payload);
+        ASSERT_EQ(decoded, payload) << "payload of " << payload.size()
+                                    << " bytes";
     }
 }
 
@@ -140,6 +167,30 @@ TEST(LzCodec, RejectsTruncationAndWrongSize)
     std::vector<uint8_t> short_dst(payload.size() - 1);
     EXPECT_FALSE(lzDecompress(compressed.data(), compressed.size(),
                               short_dst.data(), short_dst.size()));
+
+    // Every truncation of a short stream (literal runs, and matches at
+    // offsets 1, 8, 16 and 32), each in a buffer of exactly its size.
+    std::vector<uint8_t> short_payload;
+    for (size_t offset : {1, 8, 16, 32}) {
+        for (size_t i = 0; i < offset; ++i)
+            short_payload.push_back(static_cast<uint8_t>(i * 37 + offset));
+        for (size_t i = 0; i < 40; ++i)
+            short_payload.push_back(
+                short_payload[short_payload.size() - offset]);
+    }
+    std::vector<uint8_t> stream;
+    lzCompress(short_payload.data(), short_payload.size(), stream);
+    std::vector<uint8_t> short_decoded(short_payload.size());
+    ASSERT_TRUE(lzDecompress(stream.data(), stream.size(),
+                             short_decoded.data(), short_decoded.size()));
+    ASSERT_EQ(short_decoded, short_payload);
+    for (size_t n = 0; n < stream.size(); ++n) {
+        const std::vector<uint8_t> cut(stream.begin(), stream.begin() + n);
+        std::vector<uint8_t> out(short_payload.size());
+        EXPECT_FALSE(
+            lzDecompress(cut.data(), cut.size(), out.data(), out.size()))
+            << "truncated to " << n << " of " << stream.size() << " bytes";
+    }
 }
 
 // ---- v2 write + whole-file load --------------------------------------------
@@ -312,6 +363,88 @@ TEST_F(BigV2Trace, DecodeCacheEvictsUnderTinyBudget)
 
     cache.setBudget(default_budget);
     cache.clear();
+}
+
+/** Three blocks: two full ones and a partial third. */
+std::vector<Record>
+threeBlockRecords()
+{
+    std::vector<Record> records;
+    for (size_t i = 0; i < 2 * kTraceIndexBlockRecords + 4321; ++i)
+        records.push_back(makeRecord(i));
+    return records;
+}
+
+TEST(TraceDecodeOnce, WholeFileReadsTakeCachedBlocks)
+{
+    const std::string path = tempPath("v2_decode_once.trc");
+    const std::vector<Record> records = threeBlockRecords();
+    saveTrace(path, records, TraceFormat::V2);
+    auto &cache = TraceDecodeCache::global();
+    cache.clear();
+    {
+        // The forward pass decodes each block once and caches it.
+        TraceReader reader(path, TraceReader::Direction::Forward);
+        Record rec;
+        size_t i = 0;
+        while (reader.next(rec))
+            ASSERT_TRUE(rec == records[i++]) << "record " << i - 1;
+        ASSERT_EQ(i, records.size());
+    }
+    const uint64_t decoded = counterValue("trace.blocks_decoded");
+    const uint64_t hits = counterValue("trace.block_cache_hits");
+
+    const MappedTrace mapped(path);
+    EXPECT_EQ(counterValue("trace.block_cache_hits"), hits + 3);
+    expectSameRecords(records, std::vector<Record>(mapped.records().begin(),
+                                                   mapped.records().end()));
+    expectSameRecords(records, loadTrace(path));
+    EXPECT_EQ(counterValue("trace.block_cache_hits"), hits + 6);
+    EXPECT_EQ(counterValue("trace.blocks_decoded"), decoded);
+    cache.clear();
+    std::remove(path.c_str());
+}
+
+TEST(TraceDecodeOnce, ColdWholeFileReadInsertsNothing)
+{
+    const std::string path = tempPath("v2_cold_read.trc");
+    const std::vector<Record> records = threeBlockRecords();
+    saveTrace(path, records, TraceFormat::V2);
+    auto &cache = TraceDecodeCache::global();
+    cache.clear();
+    const uint64_t decoded = counterValue("trace.blocks_decoded");
+    expectSameRecords(records, loadTrace(path));
+    EXPECT_EQ(counterValue("trace.blocks_decoded"), decoded + 3);
+    EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(cache.stats().bytes, 0u);
+    std::remove(path.c_str());
+}
+
+TEST(TraceDecodeOnce, CacheKeyFoldsTheMtimeNanosecond)
+{
+    // Same inode, same size, same mtime second: only the nanosecond
+    // differs, as after an in-place rewrite within one second.
+    const std::string path = tempPath("v2_stamp.trc");
+    saveTrace(path, {makeRecord(0), makeRecord(1)}, TraceFormat::V2);
+    const auto key_at = [&](long nanoseconds, struct stat &st) {
+        struct timespec times[2] = {};
+        times[0].tv_nsec = UTIME_OMIT;
+        times[1].tv_sec = 1700000000;
+        times[1].tv_nsec = nanoseconds;
+        EXPECT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+        EXPECT_EQ(::stat(path.c_str(), &st), 0);
+        return V2TraceFile(path).cacheKey();
+    };
+    struct stat first = {};
+    struct stat second = {};
+    const uint64_t key_first = key_at(100, first);
+    const uint64_t key_second = key_at(200, second);
+    ASSERT_EQ(first.st_ino, second.st_ino);
+    ASSERT_EQ(first.st_size, second.st_size);
+    ASSERT_EQ(first.st_mtim.tv_sec, second.st_mtim.tv_sec);
+    ASSERT_NE(first.st_mtim.tv_nsec, second.st_mtim.tv_nsec);
+    EXPECT_NE(key_first, key_second);
+    std::remove(path.c_str());
 }
 
 // ---- corruption is loud ----------------------------------------------------

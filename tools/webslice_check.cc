@@ -31,7 +31,9 @@
  * Verification findings exit 2 with pointed diagnostics; races are
  * reported as evidence (the simulated browser's spinning mutexes make
  * them expected) and only affect the exit code under --fail-on-race.
- * --metrics-json writes the machine-readable webslice-check-v1 report.
+ * --metrics-json writes the machine-readable webslice-check-v1 report;
+ * its `slice` section carries the same in_slice_fnv1a digest that
+ * webslice-profile reports for the prefix and criteria mode.
  */
 
 #include <cstdio>
@@ -39,6 +41,7 @@
 #include <optional>
 #include <sstream>
 
+#include "analysis/report.hh"
 #include "check/containment.hh"
 #include "check/graph_lint.hh"
 #include "check/race.hh"
@@ -407,6 +410,8 @@ main(int argc, char **argv)
         auto digests = trace::digestArtifacts(prefix);
         digests.push_back({prefix + ".scn", digestFile(prefix + ".scn")});
         const std::vector<std::pair<std::string, std::string>> extras = {
+            {"slice", analysis::sliceStatsJson(slice, meta.benchmark,
+                                               slice_options.mode)},
             {"graph_lint", graphLintJson(lint)},
             {"soundness", soundnessJson(sound, values.has_value())},
             {"races", racesJson(races)},
